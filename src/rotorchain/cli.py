@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +42,6 @@ DEFAULTS = {
     "n": 50,
     "v": 0.1,
     "ez": 0.0,
-    "ez_min": 0.0,
-    "ez_max": None,      # experiment dependent, see resolve()
-    "ez_steps": None,
     "t_min": 0.2,
     "t_max": 1.2,
     "t_steps": 20,
@@ -54,6 +52,7 @@ DEFAULTS = {
     "workers": 1,
 }
 
+# (ez_min, ez_max, ez_steps) per experiment
 EZ_GRID_DEFAULTS = {
     "spectrum": (0.0, 25.0, 200),
     "pairwise": (0.0, 12.0, 121),
@@ -79,8 +78,8 @@ class RunConfig:
     workers: int
     physical: dict = field(default_factory=dict)
 
-    def params(self, e_z=None) -> model.ModelParams:
-        return model.ModelParams(self.n, self.v, self.ez if e_z is None else e_z)
+    def params(self) -> model.ModelParams:
+        return model.ModelParams(self.n, self.v, self.ez)
 
     def metadata(self) -> dict:
         meta = {
@@ -141,32 +140,32 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _parse_int_list(value) -> list:
+def _positions(key: str, value, upper: int) -> list:
+    """Parse a --d/--p list ("1,10,25" or a list) and reject entries outside 1..upper."""
     if isinstance(value, str):
-        return [int(tok) for tok in value.split(",") if tok.strip()]
-    return [int(x) for x in value]
+        value = [tok for tok in value.split(",") if tok.strip()]
+    positions = [int(x) for x in value]
+    for x in positions:
+        if not 1 <= x <= upper:
+            raise ValueError(f"{key} = {x} is outside 1..{upper} for this chain")
+    return positions
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over experiment defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     experiment = args.experiment or file_cfg.get("experiment")
+    ez_min, ez_max, ez_steps = EZ_GRID_DEFAULTS.get(experiment, (0.0, 1.0, 2))
+    defaults = dict(DEFAULTS, ez_min=ez_min, ez_max=ez_max, ez_steps=ez_steps)
 
     def pick(key, flag_value):
         if flag_value is not None:
             return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return DEFAULTS.get(key)
+        return file_cfg.get(key, defaults.get(key))
 
     n = int(pick("n", args.n))
     physical = {}
-    phys_values = {
-        "dipole_debye": pick("dipole_debye", args.dipole_debye),
-        "b_ghz": pick("b_ghz", args.b_ghz),
-        "r_nm": pick("r_nm", args.r_nm),
-        "field_v_per_m": pick("field_v_per_m", args.field_v_per_m),
-    }
+    phys_values = {key: pick(key, getattr(args, key)) for key in ("dipole_debye", "b_ghz", "r_nm", "field_v_per_m")}
     core = (phys_values["dipole_debye"], phys_values["b_ghz"], phys_values["r_nm"])
     if any(v is not None for v in core):
         if any(v is None for v in core):
@@ -189,13 +188,10 @@ def resolve(args: argparse.Namespace) -> RunConfig:
 
     if experiment == "twomol":
         n = 2  # the calibration table is defined for two molecules
-    grid_default = EZ_GRID_DEFAULTS.get(experiment, (0.0, 1.0, 2))
-    ez_min = float(pick("ez_min", args.ez_min) if (args.ez_min is not None or "ez_min" in file_cfg) else grid_default[0])
-    ez_max = float(pick("ez_max", args.ez_max) if (args.ez_max is not None or "ez_max" in file_cfg) else grid_default[1])
-    ez_steps = int(pick("ez_steps", args.ez_steps) if (args.ez_steps is not None or "ez_steps" in file_cfg) else grid_default[2])
-    if ez_steps < 1 or ez_max < ez_min:
-        raise ValueError("field grid must be ascending and non-empty")
-    ez_grid = np.linspace(ez_min, ez_max, ez_steps)
+    ez_min = float(pick("ez_min", args.ez_min))
+    ez_max = float(pick("ez_max", args.ez_max))
+    ez_steps = int(pick("ez_steps", args.ez_steps))
+    ez_grid = manifold.field_grid(np.linspace(ez_min, ez_max, ez_steps))
 
     t_min = float(pick("t_min", args.t_min))
     t_max = float(pick("t_max", args.t_max))
@@ -204,12 +200,15 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         raise ValueError("temperature grid must be positive, ascending and non-empty")
     t_grid = np.linspace(t_min, t_max, t_steps)
 
-    d_list = _parse_int_list(pick("d", args.d))
-    p_list = _parse_int_list(pick("p", args.p))
-    if n != DEFAULTS["n"]:
-        # clamp the N=50 default positions to the actual chain
-        d_list = [d for d in d_list if d <= n - 1] or [1]
-        p_list = [p for p in p_list if p <= n] or [n // 2 + 1]
+    # the N = 50 default positions are clamped to the chain; given ones are checked
+    if args.d is None and "d" not in file_cfg:
+        d_list = [d for d in DEFAULTS["d"] if d <= n - 1] or [1]
+    else:
+        d_list = _positions("d", pick("d", args.d), n - 1)
+    if args.p is None and "p" not in file_cfg:
+        p_list = [p for p in DEFAULTS["p"] if p <= n] or [n // 2 + 1]
+    else:
+        p_list = _positions("p", pick("p", args.p), n)
 
     observable_raw = pick("observable", args.observable)
     observable = thermal.parse_observable(observable_raw) if observable_raw else ("lprime", n // 2 + 1)
@@ -254,24 +253,12 @@ def _two_molecule_result(config: RunConfig) -> ScanResult:
     return ScanResult(columns=("state", "energy", "log_negativity", "jz_variance"), rows=rows, metadata=meta)
 
 
-def _pairwise_result(config: RunConfig, include_ld: bool) -> ScanResult:
-    rows = []
-    for e_z in config.ez_grid:
-        params = config.params(e_z=float(e_z))
-        rho = entanglement.lowest_excited_density(params)
-        spectra = manifold.solve_blocks(manifold.build_block_hamiltonian(params))
-        label, _ = manifold.lowest_excited(spectra)
-        branch = "plus" if label == manifold.PLUS else "one"
-        if include_ld:
-            for d in config.d_list:
-                value = entanglement.pairwise_L_sum(rho, d)
-                rows.append((float(e_z), "ld", d, branch, value, value / (config.n - d)))
-        for p in config.p_list:
-            value = entanglement.one_vs_rest_L(rho, p)
-            rows.append((float(e_z), "lprime", p, branch, value, ""))
+def _pairwise_result(config: RunConfig, d_list: list) -> ScanResult:
+    evaluate = partial(entanglement.lowest_excited_rows, d_list, config.p_list)
+    chunks = manifold.scan_fields(config.params(), config.ez_grid, evaluate, config.workers)
     return ScanResult(
         columns=("e_z", "observable", "index", "subspace", "value", "per_pair_mean"),
-        rows=rows,
+        rows=[row for chunk in chunks for row in chunk],
         metadata=config.metadata(),
     )
 
@@ -284,9 +271,9 @@ def run(config: RunConfig) -> int:
         result = manifold.spectrum_vs_field(config.params(), config.ez_grid, workers=config.workers)
         result.metadata.update(config.metadata())
     elif config.experiment == "pairwise":
-        result = _pairwise_result(config, include_ld=True)
+        result = _pairwise_result(config, config.d_list)
     elif config.experiment == "partition":
-        result = _pairwise_result(config, include_ld=False)
+        result = _pairwise_result(config, [])
     elif config.experiment == "thermal":
         result = thermal.thermal_scan(
             config.params(), config.t_grid, config.ez_grid, config.observable, workers=config.workers

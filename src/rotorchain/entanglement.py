@@ -235,15 +235,34 @@ def jz_variance(rho: ManifoldDensity) -> float:
     return mean_sq - mean**2
 
 
-def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
-    """Lowest one-excitation level as a manifold density.
+def branch_density(params: ModelParams, spectra: dict, label: str) -> ManifoldDensity:
+    """Lowest level of one excitation branch of solved blocks as a manifold density.
 
     A "plus" level is a pure state; a doubly-degenerate |m| = 1 level is
     always the equal-weight mixture of its m = +1 and m = -1 partners.
     """
-    spectra = solve_blocks(build_block_hamiltonian(params))
-    label, _ = lowest_excited(spectra)
     if label == PLUS:
         return ManifoldDensity.pure(block_eigenstate(params, spectra[PLUS], 0))
     states = [block_eigenstate(params, spectra[b], 0) for b in HONE_BLOCKS]
     return ManifoldDensity.mixture([0.5, 0.5], states)
+
+
+def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
+    """Lowest one-excitation level as a manifold density (see `branch_density`)."""
+    spectra = solve_blocks(build_block_hamiltonian(params))
+    return branch_density(params, spectra, lowest_excited(spectra)[0])
+
+
+def lowest_excited_rows(d_list, p_list, params: ModelParams, block_h, spectra: dict) -> list:
+    """(e_z, "ld" | "lprime", d | p, branch, value, per-pair mean) rows of the lowest excited level."""
+    label, _ = lowest_excited(spectra)
+    rho = branch_density(params, spectra, label)
+    branch = "plus" if label == PLUS else "one"
+    n = params.n_molecules
+    rows = []
+    for d in d_list:
+        value = pairwise_L_sum(rho, d)
+        rows.append((params.e_z, "ld", d, branch, value, value / (n - d)))
+    for p in p_list:
+        rows.append((params.e_z, "lprime", p, branch, one_vs_rest_L(rho, p), ""))
+    return rows

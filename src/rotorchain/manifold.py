@@ -21,12 +21,13 @@ O(v^2) error).
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NoCrossingError
-from .model import ModelParams, dressed_basis, dressed_solution, site_operator
+from .model import ModelParams, dressed_solution, site_operator
 from .results import ScanResult
 
 PLUS, UP, DOWN = "plus", "up", "down"
@@ -45,11 +46,6 @@ class BlockHamiltonian:
     ground_energy: float
     diagonals: dict     # label -> (N,) array
     offdiagonals: dict  # label -> (N-1,) array, constant along each block
-
-    def matrix(self, label: str) -> np.ndarray:
-        d = self.diagonals[label]
-        t = self.offdiagonals[label]
-        return np.diag(d) + np.diag(t, 1) + np.diag(t, -1)
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,9 @@ def build_block_hamiltonian(params: ModelParams) -> BlockHamiltonian:
         "plus" hop = -2 v <-|cos|+>^2,    "up"/"down" hop = (v/3) cos(phi)^2.
     """
     n = params.n_molecules
-    if n < 2:
-        raise ValueError(f"chain needs at least two molecules, got {n}")
     v = params.v_dip
     sol = dressed_solution(params.e_z, params)
-    c = site_operator("cos_theta", dressed_basis(params)).matrix
+    c = site_operator("cos_theta", sol.basis()).matrix
     c_gg, c_ee, c_ge = c[0, 0], c[1, 1], c[0, 1]
 
     hop_plus = -2.0 * v * c_ge**2
@@ -143,44 +137,24 @@ def build_block_hamiltonian(params: ModelParams) -> BlockHamiltonian:
     )
 
 
-def solve_uniform_tridiagonal(a: float, t: float, n: int, label: str = "uniform") -> SubspaceSpectrum:
-    """Closed-form spectrum of a uniform tridiagonal matrix.
-
-    lambda_k = a + 2 t cos(k pi / (n+1)), v_k(p) = sqrt(2/(n+1)) sin(p k pi / (n+1)),
-    returned in ascending order.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    k = np.arange(1, n + 1)
-    values = a + 2.0 * t * np.cos(k * np.pi / (n + 1))
-    p = np.arange(1, n + 1)
-    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(p, k) * np.pi / (n + 1))
-    order = np.argsort(values, kind="stable")
-    return SubspaceSpectrum(label=label, eigenvalues=values[order], eigenvectors=vectors[:, order])
-
-
 def solve_symmetric_tridiagonal(diag, off, label: str = "tridiagonal") -> SubspaceSpectrum:
     """Full eigendecomposition of a real symmetric tridiagonal matrix."""
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     if off.shape != (diag.shape[0] - 1,):
         raise ValueError("off-diagonal must have length n - 1")
-    if diag.shape[0] == 1:
-        return SubspaceSpectrum(label=label, eigenvalues=diag.copy(), eigenvectors=np.ones((1, 1)))
     values, vectors = eigh_tridiagonal(diag, off)
     return SubspaceSpectrum(label=label, eigenvalues=values, eigenvectors=vectors)
 
 
 def solve_blocks(block_h: BlockHamiltonian) -> dict:
     """Solve every block; the degenerate "up"/"down" pair is solved once."""
-    spectra = {}
     one = solve_symmetric_tridiagonal(block_h.diagonals[UP], block_h.offdiagonals[UP], label=UP)
-    spectra[PLUS] = solve_symmetric_tridiagonal(
-        block_h.diagonals[PLUS], block_h.offdiagonals[PLUS], label=PLUS
-    )
-    spectra[UP] = one
-    spectra[DOWN] = SubspaceSpectrum(label=DOWN, eigenvalues=one.eigenvalues, eigenvectors=one.eigenvectors)
-    return spectra
+    return {
+        PLUS: solve_symmetric_tridiagonal(block_h.diagonals[PLUS], block_h.offdiagonals[PLUS], label=PLUS),
+        UP: one,
+        DOWN: SubspaceSpectrum(label=DOWN, eigenvalues=one.eigenvalues, eigenvectors=one.eigenvectors),
+    }
 
 
 def lowest_excited(spectra: dict):
@@ -190,10 +164,39 @@ def lowest_excited(spectra: dict):
     return (PLUS, float(e_plus)) if e_plus <= e_one else (UP, float(e_one))
 
 
-def _spectrum_rows(args):
-    n, v, e_z = args
-    block_h = build_block_hamiltonian(ModelParams(n, v, e_z))
-    spectra = solve_blocks(block_h)
+def _solve_field(task):
+    params, evaluate = task
+    block_h = build_block_hamiltonian(params)
+    return evaluate(params, block_h, solve_blocks(block_h))
+
+
+def field_grid(e_z_grid) -> np.ndarray:
+    """The field grid as a float array; rejects an empty or descending grid."""
+    e_z_grid = np.asarray(e_z_grid, dtype=float)
+    if e_z_grid.size == 0:
+        raise ValueError("field grid is empty")
+    if np.any(np.diff(e_z_grid) < 0):
+        raise ValueError("field grid must be ascending")
+    return e_z_grid
+
+
+def scan_fields(params: ModelParams, e_z_grid, evaluate, workers: int = 1) -> list:
+    """Build and solve the blocks once per field; one `evaluate` result per field.
+
+    `evaluate(params, block_h, spectra)` receives the chain at each field of
+    the grid; its results come back in grid order.  With `workers > 1` the
+    fields are spread over that many spawned processes, so `evaluate` must be
+    picklable (a module-level function or a functools.partial of one).
+    """
+    tasks = [(params.with_field(float(e)), evaluate) for e in field_grid(e_z_grid)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(_solve_field, tasks))
+    return [_solve_field(task) for task in tasks]
+
+
+def _spectrum_rows(params: ModelParams, block_h: BlockHamiltonian, spectra: dict) -> list:
+    e_z = params.e_z
     rows = [(e_z, "ground", 0, block_h.ground_energy)]
     rows += [(e_z, "plus", k, float(val)) for k, val in enumerate(spectra[PLUS].eigenvalues)]
     rows += [(e_z, "one", k, float(val)) for k, val in enumerate(spectra[UP].eigenvalues)]
@@ -206,48 +209,15 @@ def spectrum_vs_field(params: ModelParams, e_z_grid, workers: int = 1) -> ScanRe
     Emits 1 + 2N rows per grid point; "one" rows stand for doubly-degenerate
     levels (the m = +1 and m = -1 blocks are identical).
     """
-    e_z_grid = np.asarray(e_z_grid, dtype=float)
-    if e_z_grid.size == 0:
-        raise ValueError("field grid is empty")
-    if np.any(np.diff(e_z_grid) < 0):
-        raise ValueError("field grid must be ascending")
-    tasks = [(params.n_molecules, params.v_dip, float(e)) for e in e_z_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_spectrum_rows, tasks))
-    else:
-        chunks = [_spectrum_rows(t) for t in tasks]
+    chunks = scan_fields(params, e_z_grid, _spectrum_rows, workers)
     rows = [row for chunk in chunks for row in chunk]
     meta = {
         "experiment": "spectrum",
         "n_molecules": params.n_molecules,
         "v_dip": params.v_dip,
-        "ez_points": len(tasks),
+        "ez_points": len(chunks),
     }
     return ScanResult(columns=("e_z", "subspace", "level", "energy"), rows=rows, metadata=meta)
-
-
-def crossing_map(params: ModelParams, e_z_grid) -> list:
-    """Locate every level crossing between the two excitation families.
-
-    Scans the grid for sign changes of E_plus[k] - E_one[l] over all level
-    pairs and returns (plus_level, one_level, e_z) tuples with the field
-    linearly interpolated inside the bracketing interval, so the accuracy is
-    set by the grid spacing.  Within one family levels never cross.
-    """
-    e_z_grid = np.asarray(e_z_grid, dtype=float)
-    gaps = []
-    for e_z in e_z_grid:
-        spectra = solve_blocks(build_block_hamiltonian(params.with_field(float(e_z))))
-        gaps.append(spectra[PLUS].eigenvalues[:, None] - spectra[UP].eigenvalues[None, :])
-    found = []
-    for a in range(len(e_z_grid) - 1):
-        lo, hi = gaps[a], gaps[a + 1]
-        for k, l in zip(*np.nonzero(np.sign(lo) * np.sign(hi) < 0)):
-            fraction = lo[k, l] / (lo[k, l] - hi[k, l])
-            e_cross = e_z_grid[a] + fraction * (e_z_grid[a + 1] - e_z_grid[a])
-            found.append((int(k), int(l), float(e_cross)))
-    return sorted(found, key=lambda item: item[2])
 
 
 def _lowest_gap(params: ModelParams, e_z: float) -> float:

@@ -31,20 +31,14 @@ SQRT23 = np.sqrt(2.0 / 3.0)
 # 1 Debye in C*m (exact, via the speed of light)
 DEBYE = 1e-21 / constants.c
 
-BARE_LABELS = ("|0,0>", "|1,0>", "|1,+1>", "|1,-1>")
-DRESSED_LABELS = ("|->", "|+>", "|1,+1>", "|1,-1>")
-
-OPERATOR_KINDS = ("cos_theta", "t_plus", "t_minus", "jz")
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless chain parameters; b_rot is the internal energy unit."""
+    """Dimensionless chain parameters; all energies are in units of B."""
 
     n_molecules: int
     v_dip: float
     e_z: float = 0.0
-    b_rot: float = 1.0
 
     def __post_init__(self):
         if int(self.n_molecules) != self.n_molecules or self.n_molecules < 2:
@@ -53,8 +47,6 @@ class ModelParams:
             raise ValueError(f"v_dip must be > 0, got {self.v_dip}")
         if self.e_z < 0:
             raise ValueError(f"e_z must be >= 0, got {self.e_z}")
-        if self.b_rot != 1.0:
-            raise ValueError("b_rot is fixed to 1 (all energies in units of B)")
 
     def with_field(self, e_z: float) -> "ModelParams":
         return ModelParams(self.n_molecules, self.v_dip, e_z)
@@ -105,6 +97,10 @@ class DressedSolution:
     e_minus: float    # 1 - lam
     e_plus: float     # 1 + lam
 
+    def basis(self) -> "SiteBasis":
+        """The dressed site basis of this solution."""
+        return SiteBasis("dressed", cos_phi=self.cos_phi, sin_phi=self.sin_phi)
+
 
 def dressed_solution(e_z: float, params: ModelParams) -> DressedSolution:
     """Dressed single-molecule states for field e_z at the chain's dipole scale.
@@ -130,30 +126,26 @@ def dressed_solution(e_z: float, params: ModelParams) -> DressedSolution:
 class SiteBasis:
     """Four-state single-rotor basis, bare or field-dressed.
 
-    At e_z = 0 the dressed basis coincides with the bare one.
+    A dressed basis carries its dressing angle phi; at e_z = 0 (phi = 0) it
+    coincides with the bare one.
     """
 
     kind: str                  # "bare" or "dressed"
-    e_z: float = 0.0
-    v_dip: float = 1.0         # needed to resolve the dressing angle
+    cos_phi: float = 1.0
+    sin_phi: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("bare", "dressed"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "bare" and self.e_z != 0.0:
-            raise ValueError("bare basis carries no field")
-
-    @property
-    def labels(self) -> tuple:
-        return BARE_LABELS if self.kind == "bare" else DRESSED_LABELS
+        if self.kind == "bare" and (self.cos_phi, self.sin_phi) != (1.0, 0.0):
+            raise ValueError("bare basis carries no dressing angle")
 
     def rotation(self) -> np.ndarray:
         """4x4 rotation whose columns are the basis states in bare coordinates."""
         u = np.eye(4)
         if self.kind == "dressed":
-            sol = dressed_solution(self.e_z, ModelParams(2, self.v_dip, self.e_z))
-            u[0, 0], u[1, 0] = sol.cos_phi, -sol.sin_phi
-            u[0, 1], u[1, 1] = sol.sin_phi, sol.cos_phi
+            u[0, 0], u[1, 0] = self.cos_phi, -self.sin_phi
+            u[0, 1], u[1, 1] = self.sin_phi, self.cos_phi
         return u
 
 
@@ -162,7 +154,7 @@ def bare_basis() -> SiteBasis:
 
 
 def dressed_basis(params: ModelParams) -> SiteBasis:
-    return SiteBasis("dressed", e_z=params.e_z, v_dip=params.v_dip)
+    return dressed_solution(params.e_z, params).basis()
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ _BARE_MATRICES = {
 
 def site_operator(kind: str, basis: SiteBasis) -> SiteOperator:
     """Single-site operator matrix in the fixed 4-state ordering."""
-    if kind not in OPERATOR_KINDS:
+    if kind not in _BARE_MATRICES:
         raise ValueError(f"unknown operator kind {kind!r}")
     m = _BARE_MATRICES[kind]()
     if basis.kind == "dressed":

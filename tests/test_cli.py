@@ -1,11 +1,13 @@
 """Tests for the CLI front end and scan serialization."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rotorchain import cli
+from rotorchain import cli, manifold
 from rotorchain.results import ScanResult, format_cell
 
 
@@ -172,3 +174,70 @@ class TestRun:
         text = out.read_text()
         for key in ("n_molecules", "v_dip", "ez_min", "ez_max", "ez_steps", "workers"):
             assert f"# {key} = " in text
+
+
+    def test_default_positions_clamped_to_short_chain(self, tmp_path):
+        out = tmp_path / "p.csv"
+        code = run_cli(["pairwise", "--n", "6", "--v", "0.1",
+                        "--ez-min", "0", "--ez-max", "0", "--ez-steps", "1", "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "# d_list = 1\n" in text
+        assert "# p_list = 1\n" in text
+
+    @pytest.mark.parametrize("flags,bad", [
+        (["--d", "30,2", "--p", "4"], "d = 30"),
+        (["--d", "2", "--p", "40"], "p = 40"),
+        (["--d", "0"], "d = 0"),
+    ])
+    def test_explicit_positions_out_of_range_exit_1(self, tmp_path, capsys, flags, bad):
+        out = tmp_path / "p.csv"
+        code = run_cli(["pairwise", "--n", "10", "--v", "0.1",
+                        "--ez-min", "0", "--ez-max", "0", "--ez-steps", "1", *flags, "--out", str(out)])
+        assert code == 1
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
+
+
+SCAN_ARGV = {
+    "spectrum": ["spectrum", "--n", "5"],
+    "pairwise": ["pairwise", "--n", "5", "--d", "1,2", "--p", "1,3"],
+    "partition": ["partition", "--n", "5", "--p", "2"],
+    "thermal": ["thermal", "--n", "4", "--t-min", "0.3", "--t-max", "0.9", "--t-steps", "3",
+                "--observable", "lprime:2"],
+}
+
+
+class TestScanPath:
+    @pytest.mark.parametrize("experiment", sorted(SCAN_ARGV))
+    def test_blocks_solved_once_per_field(self, tmp_path, monkeypatch, experiment):
+        calls = Counter()
+        original = manifold.solve_blocks
+
+        def counting(block_h):
+            calls[block_h.params.e_z] += 1
+            return original(block_h)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rotorchain") and getattr(module, "solve_blocks", None) is original:
+                monkeypatch.setattr(module, "solve_blocks", counting)
+        code = run_cli(SCAN_ARGV[experiment] + [
+            "--v", "0.1", "--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 0
+        assert calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
+
+    @pytest.mark.parametrize("experiment", ["pairwise", "partition"])
+    def test_parallel_workers_match_serial(self, tmp_path, experiment):
+        rows = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            code = run_cli(SCAN_ARGV[experiment] + [
+                "--v", "0.1", "--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
+                "--workers", workers, "--out", str(out),
+            ])
+            assert code == 0
+            rows[workers] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows["1"]) == 1 + 4 * (4 if experiment == "pairwise" else 1)
+        assert rows["2"] == rows["1"]

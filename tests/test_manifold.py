@@ -4,26 +4,63 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rotorchain import manifold, model
 from rotorchain.errors import NoCrossingError
 from rotorchain.manifold import (
     DOWN,
     PLUS,
     UP,
     ManifoldState,
+    SubspaceSpectrum,
     block_eigenstate,
     build_block_hamiltonian,
-    crossing_map,
     find_crossing,
     lowest_excited,
     solve_blocks,
     solve_symmetric_tridiagonal,
-    solve_uniform_tridiagonal,
     spectrum_vs_field,
 )
 from rotorchain.model import ModelParams, bare_basis, dressed_solution, pair_dipole_operator
 
 # crossing field for the default chain, frozen from the bisection run
 CROSSING_N50_V01 = 9.13833964
+
+
+def solve_uniform_tridiagonal(a: float, t: float, n: int) -> SubspaceSpectrum:
+    """Closed-form spectrum of a uniform tridiagonal matrix, the analytic reference.
+
+    lambda_k = a + 2 t cos(k pi / (n+1)), v_k(p) = sqrt(2/(n+1)) sin(p k pi / (n+1)),
+    returned in ascending order.
+    """
+    k = np.arange(1, n + 1)
+    values = a + 2.0 * t * np.cos(k * np.pi / (n + 1))
+    p = np.arange(1, n + 1)
+    vectors = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(p, k) * np.pi / (n + 1))
+    order = np.argsort(values, kind="stable")
+    return SubspaceSpectrum(label="uniform", eigenvalues=values[order], eigenvectors=vectors[:, order])
+
+
+def crossing_map(params: ModelParams, e_z_grid) -> list:
+    """Every level crossing between the two excitation families on a grid.
+
+    Scans the grid for sign changes of E_plus[k] - E_one[l] over all level
+    pairs and returns (plus_level, one_level, e_z) tuples with the field
+    linearly interpolated inside the bracketing interval, so the accuracy is
+    set by the grid spacing.  Within one family levels never cross.
+    """
+    e_z_grid = np.asarray(e_z_grid, dtype=float)
+    gaps = []
+    for e_z in e_z_grid:
+        spectra = solve_blocks(build_block_hamiltonian(params.with_field(float(e_z))))
+        gaps.append(spectra[PLUS].eigenvalues[:, None] - spectra[UP].eigenvalues[None, :])
+    found = []
+    for a in range(len(e_z_grid) - 1):
+        lo, hi = gaps[a], gaps[a + 1]
+        for k, l in zip(*np.nonzero(np.sign(lo) * np.sign(hi) < 0)):
+            fraction = lo[k, l] / (lo[k, l] - hi[k, l])
+            e_cross = e_z_grid[a] + fraction * (e_z_grid[a + 1] - e_z_grid[a])
+            found.append((int(k), int(l), float(e_cross)))
+    return sorted(found, key=lambda item: item[2])
 
 
 class TestBuildBlockHamiltonian:
@@ -75,6 +112,19 @@ class TestBuildBlockHamiltonian:
     def test_small_chain_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(1, 0.1)
+
+    def test_field_dressing_solved_once(self, monkeypatch):
+        calls = []
+        original = model.dressed_solution
+
+        def counting(e_z, params):
+            calls.append(e_z)
+            return original(e_z, params)
+
+        monkeypatch.setattr(model, "dressed_solution", counting)
+        monkeypatch.setattr(manifold, "dressed_solution", counting)
+        build_block_hamiltonian(ModelParams(4, 0.1, 3.0))
+        assert calls == [3.0]
 
 
 class TestTridiagonalSolvers:

@@ -119,6 +119,12 @@ class TestThermalScan:
         with pytest.raises(ValueError):
             thermal_scan(ModelParams(3, 0.1), [], [0.0], ("jzvar",))
 
+    def test_field_grid_validation(self):
+        with pytest.raises(ValueError):
+            thermal_scan(ModelParams(3, 0.1), [0.5], [], ("jzvar",))
+        with pytest.raises(ValueError):
+            thermal_scan(ModelParams(3, 0.1), [0.5], [1.0, 0.5], ("jzvar",))
+
     def test_parallel_workers_match_serial(self):
         params = ModelParams(4, 0.1)
         a = thermal_scan(params, [0.5, 0.9], [0.0, 1.0], ("lprime", 2), workers=1)
