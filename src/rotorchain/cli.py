@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:

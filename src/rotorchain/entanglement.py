@@ -6,13 +6,15 @@ L = log2(2 N + 1), so a two-qubit Bell state gives exactly 1.  Eigenvalues
 with magnitude below 1e-10 are treated as zero to separate genuine
 negativity from numerical noise.
 
-Reduced densities of manifold states are assembled combinatorially: once a
-pair (i, j) is singled out, the traced-out rest of the chain is in its ground
-configuration unless it carries the excitation, so the pair density is one
-projected pure component per mixture member plus a ground-pair contribution.
-For the one-molecule-vs-rest split, the rest factor is spanned by the ground
-configuration plus the 3(N-1) single-excitation states, ordered ground first,
-then sites ascending with flavors ("plus", "up", "down") per site.
+Every reduced density of a manifold state is one split: molecule p against
+a set of other molecules, with the remaining molecules traced out.  Each
+side's factor is spanned by that side's ground configuration plus its single
+excitations: (|->, "plus", "up", "down") for p, and for the others their
+ground configuration followed by the three flavors ("plus", "up", "down") of
+each site in turn.  A traced molecule is in |-> unless it carries the
+excitation, so the traced components only feed the all-ground element.  A
+pair (i, j) is the split of i against [j]; one-molecule-vs-rest is the split
+of p against every other site.
 """
 
 from dataclasses import dataclass
@@ -61,15 +63,21 @@ class DensityMatrix:
             raise ValueError("matrix has a significantly negative eigenvalue")
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose the chosen tensor factor; an involution that preserves trace."""
+def _transpose_factors(rho: DensityMatrix, factors) -> np.ndarray:
+    """Matrix of `rho` with each tensor factor in `factors` transposed."""
     k = len(rho.dims)
-    if not 0 <= subsystem < k:
-        raise ValueError(f"subsystem {subsystem} out of range for dims {rho.dims}")
     t = rho.matrix.reshape(rho.dims + rho.dims)
-    t = np.swapaxes(t, subsystem, k + subsystem)
+    for s in factors:
+        t = np.swapaxes(t, s, k + s)
     d = prod(rho.dims)
     return t.reshape(d, d)
+
+
+def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+    """Transpose the chosen tensor factor; an involution that preserves trace."""
+    if not 0 <= subsystem < len(rho.dims):
+        raise ValueError(f"subsystem {subsystem} out of range for dims {rho.dims}")
+    return _transpose_factors(rho, (subsystem,))
 
 
 def negativity(rho: DensityMatrix, bipartition) -> float:
@@ -77,14 +85,7 @@ def negativity(rho: DensityMatrix, bipartition) -> float:
     side_a, side_b = (tuple(s) for s in bipartition)
     if sorted(side_a + side_b) != list(range(len(rho.dims))):
         raise ValueError(f"bipartition {bipartition} must cover dims {rho.dims} exactly once")
-    perm = side_a + side_b
-    k = len(rho.dims)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    t = t.transpose(tuple(perm) + tuple(k + p for p in perm))
-    d_a = prod(rho.dims[i] for i in side_a)
-    d_b = prod(rho.dims[i] for i in side_b)
-    t = t.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)
-    eigenvalues = np.linalg.eigvalsh(t)
+    eigenvalues = np.linalg.eigvalsh(_transpose_factors(rho, side_b))
     negatives = eigenvalues[eigenvalues < -NEGATIVE_EIGENVALUE_CUTOFF]
     return float(-negatives.sum())
 
@@ -138,73 +139,45 @@ def _site_slot(site: int, flavor: int) -> int:
     return 1 + 3 * site + flavor
 
 
-def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
-    """Exact two-molecule reduced density for 1-based sites i < j, dims (4, 4).
+def split_density(rho: ManifoldDensity, p: int, others) -> DensityMatrix:
+    """Molecule p against the 1-based molecules `others`, dims (4, 1 + 3 len(others)).
 
-    The traced-out molecules are all in |-> unless one of them carries the
-    excitation; those components only feed the |--><--| pair element.
+    The B factor orders the others as given; every molecule in neither is
+    traced out, and its excitation weight joins the all-ground element.
     """
+    n = rho.params.n_molecules
+    others = list(others)
+    sites = [p] + others
+    if not others:
+        raise ValueError("need at least one other molecule")
+    if not all(1 <= q <= n for q in sites):
+        raise ValueError(f"sites {sites} must lie in 1..{n}")
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"sites {sites} must be distinct")
+    d_b = 1 + 3 * len(others)
+    coherent = [0] + [_site_slot(q - 1, f) for q in sites for f in range(3)]
+    positions = [0] + [(f + 1) * d_b for f in range(3)] + list(range(1, d_b))
+    rm = rho.manifold_matrix()
+    out = np.zeros((4 * d_b, 4 * d_b), dtype=complex)
+    out[np.ix_(positions, positions)] = rm[np.ix_(coherent, coherent)]
+    traced = [_site_slot(q - 1, f) for q in range(1, n + 1) if q not in sites for f in range(3)]
+    if traced:
+        out[0, 0] += rm[traced, traced].sum()
+    return DensityMatrix(dims=(4, d_b), matrix=out)
+
+
+def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
+    """Exact two-molecule reduced density for 1-based sites i < j, dims (4, 4)."""
     n = rho.params.n_molecules
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    rm = rho.manifold_matrix()
-
-    coherent = [0]
-    pair_pos = [0]
-    for f in range(3):
-        coherent.append(_site_slot(i - 1, f))
-        pair_pos.append(4 * (f + 1) + 0)
-    for f in range(3):
-        coherent.append(_site_slot(j - 1, f))
-        pair_pos.append(4 * 0 + (f + 1))
-
-    out = np.zeros((16, 16), dtype=complex)
-    out[np.ix_(pair_pos, pair_pos)] = rm[np.ix_(coherent, coherent)]
-    elsewhere = [
-        _site_slot(q, f)
-        for q in range(n)
-        if q not in (i - 1, j - 1)
-        for f in range(3)
-    ]
-    if elsewhere:
-        out[0, 0] += rm[elsewhere, elsewhere].sum()
-    return DensityMatrix(dims=(4, 4), matrix=out)
-
-
-def rest_space_dimension(n: int) -> int:
-    return 3 * (n - 1) + 1
-
-
-def one_vs_rest_isometry(n: int, p: int) -> np.ndarray:
-    """Map manifold coordinates into the (4) x (rest) product space for site p."""
-    d_rest = rest_space_dimension(n)
-    w = np.zeros((4 * d_rest, 3 * n + 1))
-    w[0 * d_rest + 0, 0] = 1.0  # ground -> |-> (x) |g_rest>
-    rest_index = 1
-    for q in range(n):
-        for f in range(3):
-            slot = _site_slot(q, f)
-            if q == p - 1:
-                w[(f + 1) * d_rest + 0, slot] = 1.0
-            else:
-                w[0 * d_rest + rest_index, slot] = 1.0
-                rest_index += 1
-    return w
-
-
-def one_vs_rest_density(rho: ManifoldDensity, p: int) -> DensityMatrix:
-    """Density on the explicit (molecule p) x (rest of chain) product space."""
-    n = rho.params.n_molecules
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= {n}, got {p}")
-    w = one_vs_rest_isometry(n, p)
-    out = w @ rho.manifold_matrix() @ w.T
-    return DensityMatrix(dims=(4, rest_space_dimension(n)), matrix=out)
+    return split_density(rho, i, [j])
 
 
 def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
     """Log-negativity of molecule p against the rest of the chain."""
-    return log_negativity(one_vs_rest_density(rho, p), ((0,), (1,)))
+    rest = [q for q in range(1, rho.params.n_molecules + 1) if q != p]
+    return log_negativity(split_density(rho, p, rest), ((0,), (1,)))
 
 
 def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:

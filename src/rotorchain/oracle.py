@@ -15,13 +15,14 @@ import numpy as np
 from .entanglement import (
     DensityMatrix,
     ManifoldDensity,
+    branch_density,
     log_negativity,
-    lowest_excited_density,
+    lowest_excited_density,  # unused here; perfbench/selftest.py checks the tracer wraps this binding
     one_vs_rest_L,
     pair_reduced,
 )
 from .errors import ResourceLimitError
-from .manifold import PLUS, ManifoldState, block_eigenstate, build_block_hamiltonian, solve_blocks
+from .manifold import PLUS, ManifoldState, block_eigenstate, build_block_hamiltonian, lowest_excited, solve_blocks
 from .model import (
     ModelParams,
     dressed_basis,
@@ -186,7 +187,7 @@ def validate_manifold(params: ModelParams) -> ValidationReport:
     )
 
     # identical state, manifold vs full-space machinery
-    rho_low = lowest_excited_density(params)
+    rho_low = branch_density(params, spectra, lowest_excited(spectra)[0])
     weights, vectors = embed_manifold_density(rho_low)
     dev_same = abs(one_vs_rest_L(rho_low, center) - full_one_vs_rest_L(weights, vectors, n, center))
     pair_manifold = log_negativity(pair_reduced(rho_low, 1, 2), ((0,), (1,)))

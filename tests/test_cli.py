@@ -91,6 +91,17 @@ class TestParseConfig:
         code = run_cli(["spectrum", "--config", "/nonexistent.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("experiment,values", [
+        ("spectrum", {"ez_min": None}),
+        ("pairwise", {"d": 2}),
+    ])
+    def test_wrong_value_type_exit_1(self, tmp_path, capsys, experiment, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, **values}))
+        code = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestRun:
     def test_spectrum_row_count(self, tmp_path):
@@ -208,25 +219,37 @@ SCAN_ARGV = {
 }
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count `solve_blocks` calls per field, across every module that imported it."""
+    calls = Counter()
+    original = manifold.solve_blocks
+
+    def counting(block_h):
+        calls[block_h.params.e_z] += 1
+        return original(block_h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rotorchain") and getattr(module, "solve_blocks", None) is original:
+            monkeypatch.setattr(module, "solve_blocks", counting)
+    return calls
+
+
 class TestScanPath:
     @pytest.mark.parametrize("experiment", sorted(SCAN_ARGV))
-    def test_blocks_solved_once_per_field(self, tmp_path, monkeypatch, experiment):
-        calls = Counter()
-        original = manifold.solve_blocks
-
-        def counting(block_h):
-            calls[block_h.params.e_z] += 1
-            return original(block_h)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rotorchain") and getattr(module, "solve_blocks", None) is original:
-                monkeypatch.setattr(module, "solve_blocks", counting)
+    def test_blocks_solved_once_per_field(self, tmp_path, solve_calls, experiment):
         code = run_cli(SCAN_ARGV[experiment] + [
             "--v", "0.1", "--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
             "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 0
-        assert calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
+        assert solve_calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
+
+    def test_validate_solves_blocks_once(self, tmp_path, solve_calls):
+        code = run_cli(["validate", "--n", "3", "--v", "0.05", "--ez", "0.5",
+                        "--out", str(tmp_path / "v.json")])
+        assert code == 0
+        assert solve_calls == Counter({0.5: 1})
 
     @pytest.mark.parametrize("experiment", ["pairwise", "partition"])
     def test_parallel_workers_match_serial(self, tmp_path, experiment):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rotorchain.entanglement import (
     DensityMatrix,
@@ -10,12 +11,13 @@ from rotorchain.entanglement import (
     log_negativity,
     lowest_excited_density,
     one_vs_rest_L,
-    one_vs_rest_density,
     pair_reduced,
     pairwise_L_sum,
     partial_transpose,
+    split_density,
 )
 from rotorchain.manifold import (
+    BLOCKS,
     DOWN,
     PLUS,
     UP,
@@ -25,7 +27,7 @@ from rotorchain.manifold import (
     solve_blocks,
 )
 from rotorchain.model import ModelParams
-from rotorchain.oracle import embed_manifold_density, embed_manifold_state
+from rotorchain.oracle import embed_manifold_density, embed_manifold_state, full_one_vs_rest_L, full_pair_L
 from rotorchain.thermal import ThermalSpec, thermal_state
 
 
@@ -54,6 +56,33 @@ def random_separable_density(rng, dims, terms=3):
     for w in weights:
         total += w * random_product_density(rng, dims).matrix
     return DensityMatrix(dims, total)
+
+
+@st.composite
+def manifold_states(draw, params):
+    """Normalized manifold state over a random set of flavors and amplitudes."""
+    n = params.n_molecules
+    flavors = draw(st.sets(st.sampled_from(BLOCKS)))
+    parts = st.floats(-1.0, 1.0)
+    amplitude = st.builds(complex, parts, parts)
+    ground = draw(amplitude) if draw(st.booleans()) else 0.0
+    amps = {f: np.array(draw(st.lists(amplitude, min_size=n, max_size=n))) for f in flavors}
+    norm = np.sqrt(abs(ground) ** 2 + sum(np.sum(np.abs(a) ** 2) for a in amps.values()))
+    assume(norm > 1e-3)
+    return ManifoldState(params, ground / norm, {f: a / norm for f, a in amps.items()})
+
+
+@st.composite
+def manifold_mixtures(draw):
+    """A mixture of random manifold states, or a thermal state, on N <= 4."""
+    n = draw(st.integers(2, 4))
+    params = ModelParams(n, draw(st.floats(0.02, 0.2)), draw(st.floats(0.0, 20.0)))
+    if draw(st.booleans()):
+        return thermal_state(ThermalSpec(draw(st.floats(0.1, 2.0)), params))
+    k = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    states = [draw(manifold_states(params)) for _ in range(k)]
+    return ManifoldDensity.mixture(weights / weights.sum(), states)
 
 
 class TestDensityMatrixValidation:
@@ -277,8 +306,6 @@ class TestFullSpaceEquivalence:
     @pytest.mark.parametrize("n,e_z", [(3, 0.0), (3, 1.5), (4, 0.0), (4, 2.0)])
     def test_manifold_matches_embedded_full_space(self, n, e_z):
         params = ModelParams(n, 0.1, e_z)
-        from rotorchain.oracle import full_one_vs_rest_L, full_pair_L
-
         rho = lowest_excited_density(params)
         weights, vectors = embed_manifold_density(rho)
         for p in range(1, n + 1):
@@ -294,8 +321,37 @@ class TestFullSpaceEquivalence:
     def test_one_vs_rest_density_dims(self):
         params = ModelParams(4, 0.1)
         rho = lowest_excited_density(params)
-        dm = one_vs_rest_density(rho, 2)
-        assert dm.dims == (4, 10)
+        assert split_density(rho, 2, [1, 3, 4]).dims == (4, 10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rho=manifold_mixtures())
+    def test_random_mixtures_match_full_space(self, rho):
+        n = rho.params.n_molecules
+        weights, vectors = embed_manifold_density(rho)
+        for p in range(1, n + 1):
+            assert one_vs_rest_L(rho, p) == pytest.approx(
+                full_one_vs_rest_L(weights, vectors, n, p), abs=1e-10
+            )
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                manifold_value = log_negativity(pair_reduced(rho, i, j), ((0,), (1,)))
+                assert manifold_value == pytest.approx(
+                    full_pair_L(weights, vectors, n, i, j), abs=1e-10
+                )
+
+
+class TestSplitDensity:
+    @pytest.mark.parametrize("p,others", [
+        (2, [1, 2]),   # p among the others
+        (0, [1]),      # sites outside 1..N
+        (1, [5]),
+        (1, [2, 2]),   # repeated site
+        (2, []),       # nothing on side B
+    ])
+    def test_invalid_sites(self, p, others):
+        rho = ManifoldDensity.pure(ManifoldState(ModelParams(4, 0.1), 1.0, {}))
+        with pytest.raises(ValueError):
+            split_density(rho, p, others)
 
 
 class TestManifoldDensityValidation:
