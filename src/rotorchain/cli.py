@@ -26,6 +26,7 @@ from .errors import NoCrossingError, ResourceLimitError
 from .results import ScanResult
 
 EXPERIMENTS = ("twomol", "spectrum", "pairwise", "partition", "thermal", "crossing", "validate")
+FORMATS = ("csv", "json")
 
 CONFIG_KEYS = {
     "experiment", "n", "v", "ez",
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", help="comma-separated site positions, e.g. 1,26")
     parser.add_argument("--observable", help="thermal observable: lprime:P, ld:D or jzvar")
     parser.add_argument("--out", help="output path (default: rotorchain_<experiment>.<format>)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    parser.add_argument("--format", choices=FORMATS, dest="fmt")
     parser.add_argument("--workers", type=int, help="parallel workers for grid scans")
     return parser
 
@@ -214,6 +215,8 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     observable = thermal.parse_observable(observable_raw) if observable_raw else ("lprime", n // 2 + 1)
 
     fmt = pick("format", args.fmt)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}; expected one of {', '.join(FORMATS)}")
     out = pick("out", args.out) or f"rotorchain_{experiment}.{fmt}"
     workers = int(pick("workers", args.workers))
     return RunConfig(

@@ -15,6 +15,21 @@ each site in turn.  A traced molecule is in |-> unless it carries the
 excitation, so the traced components only feed the all-ground element.  A
 pair (i, j) is the split of i against [j]; one-molecule-vs-rest is the split
 of p against every other site.
+
+The one-vs-rest partial transpose needs no 4(3N-2)-dimensional product
+space.  With A the three excitation slots of p and B the all-ground slot 0
+plus the 3(N-1) excitation slots of the other sites, the split density is
+the manifold matrix plus zero rows and columns, and transposing the rest
+maps it to three pieces that meet only at slot 0: the B block, transposed;
+the A block with its coherences to slot 0; and 9(N-1) "spoke" rows, one per
+coherence between an excitation of p and one of another site, each touching
+only slot 0.  The spokes span one direction, so they collapse to a single
+node coupled to slot 0 by the Frobenius norm of the A-B coherences; the
+other 9(N-1) - 1 spoke directions, orthogonal to that vector, are exact
+zero eigenvalues, which carry no negativity.  `one_vs_rest_L` therefore
+diagonalises a (3N+2)-dimensional matrix and validates the manifold matrix
+itself, which has the same trace, Hermiticity and nonzero spectrum as the
+split density.
 """
 
 from dataclasses import dataclass
@@ -85,7 +100,12 @@ def negativity(rho: DensityMatrix, bipartition) -> float:
     side_a, side_b = (tuple(s) for s in bipartition)
     if sorted(side_a + side_b) != list(range(len(rho.dims))):
         raise ValueError(f"bipartition {bipartition} must cover dims {rho.dims} exactly once")
-    eigenvalues = np.linalg.eigvalsh(_transpose_factors(rho, side_b))
+    return _negative_sum(_transpose_factors(rho, side_b))
+
+
+def _negative_sum(pt: np.ndarray) -> float:
+    """Sum of |eigenvalues| of the Hermitian `pt` below -NEGATIVE_EIGENVALUE_CUTOFF."""
+    eigenvalues = np.linalg.eigvalsh(pt)
     negatives = eigenvalues[eigenvalues < -NEGATIVE_EIGENVALUE_CUTOFF]
     return float(-negatives.sum())
 
@@ -126,12 +146,8 @@ class ManifoldDensity:
 
     def manifold_matrix(self) -> np.ndarray:
         """(3N+1) x (3N+1) Hermitian representation in the manifold basis."""
-        n = self.params.n_molecules
-        rho = np.zeros((3 * n + 1, 3 * n + 1), dtype=complex)
-        for w, state in zip(self.weights, self.states):
-            vec = state.vector()
-            rho += w * np.outer(vec, vec.conj())
-        return rho
+        vectors = np.stack([state.vector() for state in self.states], axis=1)
+        return (vectors * self.weights) @ vectors.conj().T
 
 
 def _site_slot(site: int, flavor: int) -> int:
@@ -145,7 +161,12 @@ def split_density(rho: ManifoldDensity, p: int, others) -> DensityMatrix:
     The B factor orders the others as given; every molecule in neither is
     traced out, and its excitation weight joins the all-ground element.
     """
-    n = rho.params.n_molecules
+    return _split_density(rho.manifold_matrix(), p, others)
+
+
+def _split_density(rm: np.ndarray, p: int, others) -> DensityMatrix:
+    """`split_density` of the manifold matrix `rm`."""
+    n = (rm.shape[0] - 1) // 3
     others = list(others)
     sites = [p] + others
     if not others:
@@ -157,7 +178,6 @@ def split_density(rho: ManifoldDensity, p: int, others) -> DensityMatrix:
     d_b = 1 + 3 * len(others)
     coherent = [0] + [_site_slot(q - 1, f) for q in sites for f in range(3)]
     positions = [0] + [(f + 1) * d_b for f in range(3)] + list(range(1, d_b))
-    rm = rho.manifold_matrix()
     out = np.zeros((4 * d_b, 4 * d_b), dtype=complex)
     out[np.ix_(positions, positions)] = rm[np.ix_(coherent, coherent)]
     traced = [_site_slot(q - 1, f) for q in range(1, n + 1) if q not in sites for f in range(3)]
@@ -175,9 +195,27 @@ def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
 
 
 def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
-    """Log-negativity of molecule p against the rest of the chain."""
-    rest = [q for q in range(1, rho.params.n_molecules + 1) if q != p]
-    return log_negativity(split_density(rho, p, rest), ((0,), (1,)))
+    """Log-negativity of molecule p against the rest of the chain.
+
+    Eigenvalues come from the (3N+2)-dimensional reduction of the partial
+    transpose described in the module docstring.
+    """
+    n = rho.params.n_molecules
+    if not 1 <= p <= n:
+        raise ValueError(f"need 1 <= p <= {n}, got {p}")
+    rm = rho.manifold_matrix()
+    # the split density is rm plus zero rows and columns: same validation
+    DensityMatrix(dims=(3 * n + 1,), matrix=rm)
+    a = np.arange(_site_slot(p - 1, 0), _site_slot(p - 1, 3))
+    b = np.delete(np.arange(3 * n + 1), a)
+    nb = len(b)
+    pt = np.zeros((3 * n + 2, 3 * n + 2), dtype=complex)
+    pt[:nb, :nb] = rm[np.ix_(b, b)].T
+    pt[nb:-1, nb:-1] = rm[np.ix_(a, a)]
+    pt[nb:-1, 0] = rm[a, 0]
+    pt[0, nb:-1] = rm[0, a]
+    pt[-1, 0] = pt[0, -1] = np.linalg.norm(rm[np.ix_(a, b[1:])])
+    return log2(2.0 * _negative_sum(pt) + 1.0)
 
 
 def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
@@ -185,9 +223,10 @@ def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
     n = rho.params.n_molecules
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= {n - 1}, got {d}")
+    rm = rho.manifold_matrix()
     total = 0.0
     for i in range(1, n - d + 1):
-        total += log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,)))
+        total += log_negativity(_split_density(rm, i, [i + d]), ((0,), (1,)))
     return total
 
 

@@ -102,6 +102,15 @@ class TestParseConfig:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_bad_format_rejected_before_scan(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "format": "xml", "ez_steps": 2}))
+        out = tmp_path / "o.xml"
+        code = run_cli(["spectrum", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "configuration error: unknown output format 'xml'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_spectrum_row_count(self, tmp_path):

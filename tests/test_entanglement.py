@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rotorchain.entanglement import (
     DensityMatrix,
     ManifoldDensity,
+    branch_density,
     jz_variance,
     log_negativity,
     lowest_excited_density,
@@ -338,6 +339,34 @@ class TestFullSpaceEquivalence:
                 assert manifold_value == pytest.approx(
                     full_pair_L(weights, vectors, n, i, j), abs=1e-10
                 )
+
+
+class TestStructuredOneVsRest:
+    """The (3N+2)-dimensional one-vs-rest route against the dense split density."""
+
+    @pytest.mark.parametrize("e_z", [2.0, 12.0])  # below and above e_z* = 9.14
+    def test_matches_dense_split_density(self, e_z):
+        params = ModelParams(50, 0.1, e_z)
+        spectra = solve_blocks(build_block_hamiltonian(params))
+        ground = ManifoldDensity.pure(ManifoldState(params, 1.0, {}))
+        densities = [
+            ground,
+            branch_density(params, spectra, PLUS),
+            branch_density(params, spectra, UP),  # the |m| = 1 mixture
+            thermal_state(ThermalSpec(0.15, params)),
+            thermal_state(ThermalSpec(0.7, params)),
+        ]
+        for p in (1, 26, 50):
+            rest = [q for q in range(1, 51) if q != p]
+            assert one_vs_rest_L(ground, p) == 0.0
+            for rho in densities:
+                dense = log_negativity(split_density(rho, p, rest), ((0,), (1,)))
+                assert one_vs_rest_L(rho, p) == pytest.approx(dense, abs=1e-12)
+
+    def test_manifold_matrix_is_weighted_sum_of_projectors(self):
+        rho = thermal_state(ThermalSpec(0.7, ModelParams(6, 0.1, 3.0)))
+        expected = sum(w * np.outer(s.vector(), s.vector().conj()) for w, s in zip(rho.weights, rho.states))
+        assert np.max(np.abs(rho.manifold_matrix() - expected)) < 1e-15
 
 
 class TestSplitDensity:
