@@ -308,7 +308,10 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on invalid input and 0 after --help
+        return 1 if exc.code else 0
     try:
         config = resolve(args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -321,6 +324,9 @@ def main(argv=None) -> int:
         return 1
     except (ResourceLimitError, NoCrossingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

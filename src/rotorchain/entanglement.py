@@ -16,20 +16,19 @@ excitation, so the traced components only feed the all-ground element.  A
 pair (i, j) is the split of i against [j]; one-molecule-vs-rest is the split
 of p against every other site.
 
-The one-vs-rest partial transpose needs no 4(3N-2)-dimensional product
-space.  With A the three excitation slots of p and B the all-ground slot 0
-plus the 3(N-1) excitation slots of the other sites, the split density is
-the manifold matrix plus zero rows and columns, and transposing the rest
-maps it to three pieces that meet only at slot 0: the B block, transposed;
-the A block with its coherences to slot 0; and 9(N-1) "spoke" rows, one per
-coherence between an excitation of p and one of another site, each touching
-only slot 0.  The spokes span one direction, so they collapse to a single
-node coupled to slot 0 by the Frobenius norm of the A-B coherences; the
-other 9(N-1) - 1 spoke directions, orthogonal to that vector, are exact
-zero eigenvalues, which carry no negativity.  `one_vs_rest_L` therefore
-diagonalises a (3N+2)-dimensional matrix and validates the manifold matrix
-itself, which has the same trace, Hermiticity and nonzero spectrum as the
-split density.
+A split's partial transpose needs no 4(1 + 3 len(others))-dimensional
+product space.  With A the three excitation slots of p and B the all-ground
+slot 0 plus the excitation slots of the others, the split density is the
+manifold matrix on A and B, with every traced slot's diagonal added to
+[0, 0], plus zero rows and columns.  Transposing B maps it to three pieces
+that meet only at slot 0: the B block, transposed; the A block with its
+coherences to slot 0; and one "spoke" row per A-B coherence, touching only
+slot 0.  The spokes span one direction, so they collapse to one node coupled
+to slot 0 by the Frobenius norm of the A-B coherences; the orthogonal spoke
+directions are exact zero eigenvalues.  `_split_L` therefore diagonalises
+8 x 8 for a pair and (3N+2) x (3N+2) for one-vs-rest; its callers validate
+the manifold matrix once per state instead of each split density, which
+shares its trace and Hermiticity and is positive when it is.
 """
 
 from dataclasses import dataclass
@@ -161,12 +160,8 @@ def split_density(rho: ManifoldDensity, p: int, others) -> DensityMatrix:
     The B factor orders the others as given; every molecule in neither is
     traced out, and its excitation weight joins the all-ground element.
     """
-    return _split_density(rho.manifold_matrix(), p, others)
-
-
-def _split_density(rm: np.ndarray, p: int, others) -> DensityMatrix:
-    """`split_density` of the manifold matrix `rm`."""
-    n = (rm.shape[0] - 1) // 3
+    rm = rho.manifold_matrix()
+    n = rho.params.n_molecules
     others = list(others)
     sites = [p] + others
     if not others:
@@ -194,23 +189,22 @@ def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
     return split_density(rho, i, [j])
 
 
-def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
-    """Log-negativity of molecule p against the rest of the chain.
-
-    Eigenvalues come from the (3N+2)-dimensional reduction of the partial
-    transpose described in the module docstring.
-    """
-    n = rho.params.n_molecules
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= {n}, got {p}")
+def _validated_matrix(rho: ManifoldDensity) -> np.ndarray:
+    """Manifold matrix of `rho`, validated as a density of dims (3N+1,)."""
     rm = rho.manifold_matrix()
-    # the split density is rm plus zero rows and columns: same validation
-    DensityMatrix(dims=(3 * n + 1,), matrix=rm)
+    DensityMatrix(dims=(len(rm),), matrix=rm)
+    return rm
+
+
+def _split_L(rm: np.ndarray, p: int, others) -> float:
+    """Log-negativity of molecule p against the 1-based `others`, from the validated `rm`."""
     a = np.arange(_site_slot(p - 1, 0), _site_slot(p - 1, 3))
-    b = np.delete(np.arange(3 * n + 1), a)
+    b = np.array([0] + [_site_slot(q - 1, f) for q in others for f in range(3)])
     nb = len(b)
-    pt = np.zeros((3 * n + 2, 3 * n + 2), dtype=complex)
+    pt = np.zeros((nb + 4, nb + 4), dtype=complex)
     pt[:nb, :nb] = rm[np.ix_(b, b)].T
+    # exactly 0.0 when nothing is traced
+    pt[0, 0] += np.delete(rm.diagonal(), np.r_[a, b]).sum()
     pt[nb:-1, nb:-1] = rm[np.ix_(a, a)]
     pt[nb:-1, 0] = rm[a, 0]
     pt[0, nb:-1] = rm[0, a]
@@ -218,16 +212,21 @@ def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
     return log2(2.0 * _negative_sum(pt) + 1.0)
 
 
+def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
+    """Log-negativity of molecule p against the rest of the chain."""
+    n = rho.params.n_molecules
+    if not 1 <= p <= n:
+        raise ValueError(f"need 1 <= p <= {n}, got {p}")
+    return _split_L(_validated_matrix(rho), p, [q for q in range(1, n + 1) if q != p])
+
+
 def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
     """L_d: pair log-negativity summed over all pairs at chain distance d."""
     n = rho.params.n_molecules
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= {n - 1}, got {d}")
-    rm = rho.manifold_matrix()
-    total = 0.0
-    for i in range(1, n - d + 1):
-        total += log_negativity(_split_density(rm, i, [i + d]), ((0,), (1,)))
-    return total
+    rm = _validated_matrix(rho)
+    return sum(_split_L(rm, i, [i + d]) for i in range(1, n - d + 1))
 
 
 def jz_variance(rho: ManifoldDensity) -> float:
@@ -268,13 +267,14 @@ def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
 def lowest_excited_rows(d_list, p_list, params: ModelParams, block_h, spectra: dict) -> list:
     """(e_z, "ld" | "lprime", d | p, branch, value, per-pair mean) rows of the lowest excited level."""
     label, _ = lowest_excited(spectra)
-    rho = branch_density(params, spectra, label)
+    rm = _validated_matrix(branch_density(params, spectra, label))
     branch = "plus" if label == PLUS else "one"
     n = params.n_molecules
     rows = []
     for d in d_list:
-        value = pairwise_L_sum(rho, d)
+        value = sum(_split_L(rm, i, [i + d]) for i in range(1, n - d + 1))
         rows.append((params.e_z, "ld", d, branch, value, value / (n - d)))
     for p in p_list:
-        rows.append((params.e_z, "lprime", p, branch, one_vs_rest_L(rho, p), ""))
+        value = _split_L(rm, p, [q for q in range(1, n + 1) if q != p])
+        rows.append((params.e_z, "lprime", p, branch, value, ""))
     return rows

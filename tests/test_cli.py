@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rotorchain import cli, manifold
+from rotorchain import cli, entanglement, manifold
 from rotorchain.results import ScanResult, format_cell
 
 
@@ -102,6 +102,20 @@ class TestParseConfig:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["spectrum", "--n", "x"],
+        ["spectrum", "--no-such-flag"],
+        ["spectrum", "--format", "xml"],
+    ])
+    def test_argparse_errors_exit_1(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_bad_format_rejected_before_scan(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4, "format": "xml", "ez_steps": 2}))
@@ -183,6 +197,19 @@ class TestRun:
         code = run_cli(["validate", "--n", "6", "--v", "0.05", "--out", str(tmp_path / "v.json")])
         assert code == 2
 
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 549. MiB")
+
+        monkeypatch.setattr(manifold, "scan_fields", exhausted)
+        out = tmp_path / "p.csv"
+        code = run_cli(["pairwise", "--n", "4", "--ez-steps", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_model_exit_1(self, tmp_path, capsys):
         code = run_cli(["spectrum", "--n", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 1
@@ -259,6 +286,22 @@ class TestScanPath:
                         "--out", str(tmp_path / "v.json")])
         assert code == 0
         assert solve_calls == Counter({0.5: 1})
+
+    def test_pairwise_builds_manifold_matrix_once_per_field(self, tmp_path, monkeypatch):
+        calls = Counter()
+        original = entanglement.ManifoldDensity.manifold_matrix
+
+        def counting(rho):
+            calls[rho.params.e_z] += 1
+            return original(rho)
+
+        monkeypatch.setattr(entanglement.ManifoldDensity, "manifold_matrix", counting)
+        code = run_cli(SCAN_ARGV["pairwise"] + [
+            "--v", "0.1", "--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 0
+        assert calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
 
     @pytest.mark.parametrize("experiment", ["pairwise", "partition"])
     def test_parallel_workers_match_serial(self, tmp_path, experiment):

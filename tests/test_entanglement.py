@@ -333,16 +333,19 @@ class TestFullSpaceEquivalence:
             assert one_vs_rest_L(rho, p) == pytest.approx(
                 full_one_vs_rest_L(weights, vectors, n, p), abs=1e-10
             )
+        full_pairs = {}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
+                full_pairs[i, j] = full_pair_L(weights, vectors, n, i, j)
                 manifold_value = log_negativity(pair_reduced(rho, i, j), ((0,), (1,)))
-                assert manifold_value == pytest.approx(
-                    full_pair_L(weights, vectors, n, i, j), abs=1e-10
-                )
+                assert manifold_value == pytest.approx(full_pairs[i, j], abs=1e-10)
+        for d in range(1, n):
+            full_sum = sum(full_pairs[i, i + d] for i in range(1, n - d + 1))
+            assert pairwise_L_sum(rho, d) == pytest.approx(full_sum, abs=1e-10)
 
 
 class TestStructuredOneVsRest:
-    """The (3N+2)-dimensional one-vs-rest route against the dense split density."""
+    """The reduced partial-transpose route against the dense split density."""
 
     @pytest.mark.parametrize("e_z", [2.0, 12.0])  # below and above e_z* = 9.14
     def test_matches_dense_split_density(self, e_z):
@@ -362,6 +365,10 @@ class TestStructuredOneVsRest:
             for rho in densities:
                 dense = log_negativity(split_density(rho, p, rest), ((0,), (1,)))
                 assert one_vs_rest_L(rho, p) == pytest.approx(dense, abs=1e-12)
+        for d in (1, 10, 25):
+            for rho in densities:
+                dense = sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, 51 - d))
+                assert pairwise_L_sum(rho, d) == pytest.approx(dense, abs=1e-12)
 
     def test_manifold_matrix_is_weighted_sum_of_projectors(self):
         rho = thermal_state(ThermalSpec(0.7, ModelParams(6, 0.1, 3.0)))
