@@ -155,7 +155,9 @@ def _positions(key: str, value, upper: int) -> list:
 def resolve(args: argparse.Namespace) -> RunConfig:
     """Merge flags over config-file values over experiment defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    experiment = args.experiment or file_cfg.get("experiment")
+    experiment = args.experiment
+    if file_cfg.get("experiment", experiment) != experiment:
+        raise ValueError(f"config experiment = {file_cfg['experiment']!r} differs from the command's {experiment!r}")
     ez_min, ez_max, ez_steps = EZ_GRID_DEFAULTS.get(experiment, (0.0, 1.0, 2))
     defaults = dict(DEFAULTS, ez_min=ez_min, ez_max=ez_max, ez_steps=ez_steps)
 
@@ -219,6 +221,8 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"unknown output format {fmt!r}; expected one of {', '.join(FORMATS)}")
     out = pick("out", args.out) or f"rotorchain_{experiment}.{fmt}"
     workers = int(pick("workers", args.workers))
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be at least 1")
     return RunConfig(
         experiment=experiment, n=n, v=v, ez=ez, ez_grid=ez_grid, t_grid=t_grid,
         d_list=d_list, p_list=p_list, observable=observable,

@@ -71,13 +71,13 @@ def truncation_weight_bound(spec: ThermalSpec) -> float:
 def parse_observable(spec_string: str):
     """Parse "lprime:26", "ld:1" or "jzvar" into an observable tuple."""
     name, _, arg = spec_string.partition(":")
-    if name == "jzvar":
+    if spec_string == "jzvar":
         return ("jzvar",)
     if name in ("lprime", "ld"):
         if not arg:
             raise ValueError(f"observable {name!r} needs a site/distance, e.g. '{name}:1'")
         return (name, int(arg))
-    raise ValueError(f"unknown observable {spec_string!r}")
+    raise ValueError(f"unknown observable {spec_string!r}; expected lprime:P, ld:D or jzvar")
 
 
 def evaluate_observable(rho: ManifoldDensity, observable) -> float:

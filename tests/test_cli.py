@@ -68,7 +68,9 @@ class TestParseConfig:
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 4, "v": 0.2, "ez_min": 0.0, "ez_max": 1.0, "ez_steps": 2}))
+        cfg.write_text(json.dumps(
+            {"experiment": "spectrum", "n": 4, "v": 0.2, "ez_min": 0.0, "ez_max": 1.0, "ez_steps": 2}
+        ))
         out = tmp_path / "s.csv"
         code = run_cli(["spectrum", "--config", str(cfg), "--v", "0.3", "--out", str(out)])
         assert code == 0
@@ -94,6 +96,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("experiment,values", [
         ("spectrum", {"ez_min": None}),
         ("pairwise", {"d": 2}),
+        ("spectrum", {"experiment": "thermal"}),
+        ("thermal", {"observable": "jzvar:3"}),
     ])
     def test_wrong_value_type_exit_1(self, tmp_path, capsys, experiment, values):
         cfg = tmp_path / "cfg.json"
@@ -194,7 +198,7 @@ class TestRun:
         assert payload["report"]["max_eigenvalue_dev"] < 0.75 * 0.05**2
 
     def test_resource_guard_exit_2(self, tmp_path, capsys):
-        code = run_cli(["validate", "--n", "6", "--v", "0.05", "--out", str(tmp_path / "v.json")])
+        code = run_cli(["validate", "--n", "7", "--v", "0.05", "--out", str(tmp_path / "v.json")])
         assert code == 2
 
     def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -236,6 +240,9 @@ class TestRun:
         (["--d", "30,2", "--p", "4"], "d = 30"),
         (["--d", "2", "--p", "40"], "p = 40"),
         (["--d", "0"], "d = 0"),
+        (["--workers", "0"], "workers = 0"),
+        (["--workers", "-3"], "workers = -3"),
+        (["--observable", "jzvar:3"], "'jzvar:3'"),
     ])
     def test_explicit_positions_out_of_range_exit_1(self, tmp_path, capsys, flags, bad):
         out = tmp_path / "p.csv"

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from rotorchain.entanglement import DensityMatrix, branch_density, log_negativity
 from rotorchain.errors import ResourceLimitError
-from rotorchain.model import ModelParams
+from rotorchain.manifold import build_block_hamiltonian, lowest_excited, solve_blocks
+from rotorchain.model import ModelParams, bare_basis, site_operator
 from rotorchain.oracle import (
     dense_eigensolve,
+    embed_manifold_density,
     full_hamiltonian,
-    full_jz,
     full_one_vs_rest_L,
+    full_pair_L,
+    full_split_density,
     validate_manifold,
 )
 
@@ -21,6 +25,24 @@ EIGENVALUE_DEV_CONSTANT = 0.75
 # admixture of two-excitation components is first order in v, so this sits
 # far above a naive second-order estimate
 GROUND_LPRIME_N3_V005 = 0.0669
+
+
+def full_jz(n: int) -> np.ndarray:
+    """Total axial angular momentum operator on the 4^N product space."""
+    jz1 = site_operator("jz", bare_basis()).matrix
+    return sum(np.kron(np.kron(np.eye(4**i), jz1), np.eye(4 ** (n - i - 1))) for i in range(n))
+
+
+def dense_split_density(weights, vectors, n, p, others) -> DensityMatrix:
+    """Site p against `others` in the product basis: 4 x 4^len(others), the rest traced."""
+    perm = [p - 1] + [q - 1 for q in others]
+    perm += [ax for ax in range(n) if ax not in perm]
+    d = 4 ** (1 + len(others))
+    rho = np.zeros((d, d), dtype=vectors.dtype)
+    for w, vec in zip(weights, vectors.T):
+        t = vec.reshape((4,) * n).transpose(perm).reshape(d, -1)
+        rho += w * (t @ t.conj().T)
+    return DensityMatrix(dims=(4, d // 4), matrix=rho)
 
 
 class TestFullHamiltonian:
@@ -121,8 +143,9 @@ class TestValidateManifold:
         assert np.max(np.abs(plus_levels - minus_levels)) < 1e-9
 
     def test_size_guard(self):
+        # the full Hamiltonian's MAX_FULL_CHAIN guard is validate's only limit
         with pytest.raises(ResourceLimitError):
-            validate_manifold(ModelParams(6, 0.05))
+            validate_manifold(ModelParams(7, 0.05))
 
     def test_report_serializable(self):
         report = validate_manifold(ModelParams(3, 0.05, 0.5))
@@ -141,3 +164,35 @@ def test_full_one_vs_rest_on_bell_pair():
     psi[4 * 1 + 0] = psi[0 * 4 + 1] = 1.0 / np.sqrt(2.0)
     value = full_one_vs_rest_L(np.array([1.0]), psi[:, None], 2, 1)
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFullSplitDensity:
+    """The support-basis split against the dense product-basis one."""
+
+    @staticmethod
+    def mixtures(params):
+        _, vectors = dense_eigensolve(full_hamiltonian(params))
+        spectra = solve_blocks(build_block_hamiltonian(params))
+        rng = np.random.default_rng(params.n_molecules)
+        generic = rng.normal(size=(vectors.shape[0], 2)) + 1j * rng.normal(size=(vectors.shape[0], 2))
+        return {
+            "ground": (np.array([1.0]), vectors[:, [0]]),
+            "excited": (np.array([1.0]), vectors[:, [2]]),
+            "two-level": (np.array([0.7, 0.3]), vectors[:, [0, 1]]),
+            "branch": embed_manifold_density(branch_density(params, spectra, lowest_excited(spectra)[0])),
+            "complex": (np.array([0.5, 0.5]), generic / np.linalg.norm(generic, axis=0)),
+        }
+
+    @pytest.mark.parametrize("n,e_z", [(3, 0.0), (3, 12.0), (4, 0.0), (4, 12.0), (5, 12.0)])
+    def test_matches_dense_split(self, n, e_z):
+        for weights, vectors in self.mixtures(ModelParams(n, 0.1, e_z)).values():
+            for p in range(1, n + 1):
+                rest = [q for q in range(1, n + 1) if q != p]
+                split = full_split_density(weights, vectors, n, p, rest)
+                assert split.dims[0] == 4 and split.dims[1] <= 4 * len(weights)
+                splits = [(rest, full_one_vs_rest_L(weights, vectors, n, p))]
+                splits += [([j], full_pair_L(weights, vectors, n, p, j)) for j in rest]
+                for others, value in splits:
+                    reference = log_negativity(dense_split_density(weights, vectors, n, p, others), ((0,), (1,)))
+                    assert value == pytest.approx(reference, abs=1e-12)
+                    assert (value == 0.0) == (reference == 0.0)

@@ -158,6 +158,8 @@ def test_parse_observable():
         parse_observable("lprime")
     with pytest.raises(ValueError):
         parse_observable("entropy:3")
+    with pytest.raises(ValueError, match="jzvar:3"):
+        parse_observable("jzvar:3")
 
 
 def test_evaluate_observable_dispatch():
