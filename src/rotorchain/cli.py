@@ -141,12 +141,20 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _require_int(key: str, value):
+    """Reject a config value that is not a JSON integer (bools and floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} = {value!r} must be an integer")
+    return value
+
+
 def _positions(key: str, value, upper: int) -> list:
     """Parse a --d/--p list ("1,10,25" or a list) and reject entries outside 1..upper."""
     if isinstance(value, str):
-        value = [tok for tok in value.split(",") if tok.strip()]
-    positions = [int(x) for x in value]
+        value = [int(tok) for tok in value.split(",") if tok.strip()]
+    positions = list(value)
     for x in positions:
+        _require_int(key, x)
         if not 1 <= x <= upper:
             raise ValueError(f"{key} = {x} is outside 1..{upper} for this chain")
     return positions
@@ -166,7 +174,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
             return flag_value
         return file_cfg.get(key, defaults.get(key))
 
-    n = int(pick("n", args.n))
+    n = _require_int("n", pick("n", args.n))
     physical = {}
     phys_values = {key: pick(key, getattr(args, key)) for key in ("dipole_debye", "b_ghz", "r_nm", "field_v_per_m")}
     core = (phys_values["dipole_debye"], phys_values["b_ghz"], phys_values["r_nm"])
@@ -193,12 +201,12 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         n = 2  # the calibration table is defined for two molecules
     ez_min = float(pick("ez_min", args.ez_min))
     ez_max = float(pick("ez_max", args.ez_max))
-    ez_steps = int(pick("ez_steps", args.ez_steps))
+    ez_steps = _require_int("ez_steps", pick("ez_steps", args.ez_steps))
     ez_grid = manifold.field_grid(np.linspace(ez_min, ez_max, ez_steps))
 
     t_min = float(pick("t_min", args.t_min))
     t_max = float(pick("t_max", args.t_max))
-    t_steps = int(pick("t_steps", args.t_steps))
+    t_steps = _require_int("t_steps", pick("t_steps", args.t_steps))
     if t_steps < 1 or t_max < t_min or t_min <= 0:
         raise ValueError("temperature grid must be positive, ascending and non-empty")
     t_grid = np.linspace(t_min, t_max, t_steps)
@@ -220,7 +228,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}; expected one of {', '.join(FORMATS)}")
     out = pick("out", args.out) or f"rotorchain_{experiment}.{fmt}"
-    workers = int(pick("workers", args.workers))
+    workers = _require_int("workers", pick("workers", args.workers))
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
     return RunConfig(

@@ -2,9 +2,8 @@
 
 Negativity is the summed magnitude of the negative eigenvalues of the
 partially transposed density matrix; the log-negativity is
-L = log2(2 N + 1), so a two-qubit Bell state gives exactly 1.  Eigenvalues
-with magnitude below 1e-10 are treated as zero to separate genuine
-negativity from numerical noise.
+L = log2(2 N + 1), so a two-qubit Bell state gives exactly 1.  A negative
+eigenvalue of magnitude at most 1e-10 counts as numerical noise, not negativity.
 
 Every reduced density of a manifold state is one split: molecule p against
 a set of other molecules, with the remaining molecules traced out.  Each
@@ -16,19 +15,18 @@ excitation, so the traced components only feed the all-ground element.  A
 pair (i, j) is the split of i against [j]; one-molecule-vs-rest is the split
 of p against every other site.
 
-A split's partial transpose needs no 4(1 + 3 len(others))-dimensional
-product space.  With A the three excitation slots of p and B the all-ground
-slot 0 plus the excitation slots of the others, the split density is the
-manifold matrix on A and B, with every traced slot's diagonal added to
-[0, 0], plus zero rows and columns.  Transposing B maps it to three pieces
-that meet only at slot 0: the B block, transposed; the A block with its
-coherences to slot 0; and one "spoke" row per A-B coherence, touching only
-slot 0.  The spokes span one direction, so they collapse to one node coupled
-to slot 0 by the Frobenius norm of the A-B coherences; the orthogonal spoke
-directions are exact zero eigenvalues.  `_split_L` therefore diagonalises
-8 x 8 for a pair and (3N+2) x (3N+2) for one-vs-rest; its callers validate
-the manifold matrix once per state instead of each split density, which
-shares its trace and Hermiticity and is positive when it is.
+Every state the scans build (a block level, the |m| = 1 mixture, a Boltzmann
+mixture) has no coherence between the all-ground slot and an excitation.
+Then, with A the three excitation slots of p and B those of the others, the
+split's partial transpose is the PSD blocks rm[A, A] and rm[B, B]^T plus one
+2 x 2 block [[g, c], [c, 0]]: g is the all-ground element (slot 0 plus every
+traced slot's diagonal) and c^2 = sum |rm[A, B]|^2, the A-B coherences that
+the transpose moves next to it.  Its one negative eigenvalue gives
+N = 2 c^2 / (g + sqrt(g^2 + 4 c^2)), the W-state form; `_split_L` computes
+it with no eigensolve.  A state with ground coherence goes through the dense
+`split_density` instead.  A manifold density is validated on construction
+(weights >= 0 summing to 1, normalised states), so its manifold matrix is
+not checked again.
 """
 
 from dataclasses import dataclass
@@ -99,14 +97,8 @@ def negativity(rho: DensityMatrix, bipartition) -> float:
     side_a, side_b = (tuple(s) for s in bipartition)
     if sorted(side_a + side_b) != list(range(len(rho.dims))):
         raise ValueError(f"bipartition {bipartition} must cover dims {rho.dims} exactly once")
-    return _negative_sum(_transpose_factors(rho, side_b))
-
-
-def _negative_sum(pt: np.ndarray) -> float:
-    """Sum of |eigenvalues| of the Hermitian `pt` below -NEGATIVE_EIGENVALUE_CUTOFF."""
-    eigenvalues = np.linalg.eigvalsh(pt)
-    negatives = eigenvalues[eigenvalues < -NEGATIVE_EIGENVALUE_CUTOFF]
-    return float(-negatives.sum())
+    eigenvalues = np.linalg.eigvalsh(_transpose_factors(rho, side_b))
+    return float(-eigenvalues[eigenvalues < -NEGATIVE_EIGENVALUE_CUTOFF].sum())
 
 
 def log_negativity(rho: DensityMatrix, bipartition) -> float:
@@ -189,27 +181,14 @@ def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
     return split_density(rho, i, [j])
 
 
-def _validated_matrix(rho: ManifoldDensity) -> np.ndarray:
-    """Manifold matrix of `rho`, validated as a density of dims (3N+1,)."""
-    rm = rho.manifold_matrix()
-    DensityMatrix(dims=(len(rm),), matrix=rm)
-    return rm
-
-
 def _split_L(rm: np.ndarray, p: int, others) -> float:
-    """Log-negativity of molecule p against the 1-based `others`, from the validated `rm`."""
+    """Log-negativity of molecule p against the 1-based `others`, for `rm` with rm[0, 1:] = 0."""
     a = np.arange(_site_slot(p - 1, 0), _site_slot(p - 1, 3))
-    b = np.array([0] + [_site_slot(q - 1, f) for q in others for f in range(3)])
-    nb = len(b)
-    pt = np.zeros((nb + 4, nb + 4), dtype=complex)
-    pt[:nb, :nb] = rm[np.ix_(b, b)].T
-    # exactly 0.0 when nothing is traced
-    pt[0, 0] += np.delete(rm.diagonal(), np.r_[a, b]).sum()
-    pt[nb:-1, nb:-1] = rm[np.ix_(a, a)]
-    pt[nb:-1, 0] = rm[a, 0]
-    pt[0, nb:-1] = rm[0, a]
-    pt[-1, 0] = pt[0, -1] = np.linalg.norm(rm[np.ix_(a, b[1:])])
-    return log2(2.0 * _negative_sum(pt) + 1.0)
+    b = np.array([_site_slot(q - 1, f) for q in others for f in range(3)])
+    g = np.delete(rm.diagonal(), np.r_[a, b]).real.sum()  # slot 0 plus every traced slot
+    c = np.linalg.norm(rm[np.ix_(a, b)])
+    neg = 2.0 * c * c / (g + np.hypot(g, 2.0 * c)) if c else 0.0
+    return log2(2.0 * neg + 1.0) if neg > NEGATIVE_EIGENVALUE_CUTOFF else 0.0
 
 
 def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
@@ -217,7 +196,11 @@ def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
     n = rho.params.n_molecules
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= {n}, got {p}")
-    return _split_L(_validated_matrix(rho), p, [q for q in range(1, n + 1) if q != p])
+    others = [q for q in range(1, n + 1) if q != p]
+    rm = rho.manifold_matrix()
+    if rm[0, 1:].any():
+        return log_negativity(split_density(rho, p, others), ((0,), (1,)))
+    return _split_L(rm, p, others)
 
 
 def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
@@ -225,7 +208,9 @@ def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
     n = rho.params.n_molecules
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= {n - 1}, got {d}")
-    rm = _validated_matrix(rho)
+    rm = rho.manifold_matrix()
+    if rm[0, 1:].any():
+        return sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, n - d + 1))
     return sum(_split_L(rm, i, [i + d]) for i in range(1, n - d + 1))
 
 
@@ -267,7 +252,7 @@ def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
 def lowest_excited_rows(d_list, p_list, params: ModelParams, block_h, spectra: dict) -> list:
     """(e_z, "ld" | "lprime", d | p, branch, value, per-pair mean) rows of the lowest excited level."""
     label, _ = lowest_excited(spectra)
-    rm = _validated_matrix(branch_density(params, spectra, label))
+    rm = branch_density(params, spectra, label).manifold_matrix()
     branch = "plus" if label == PLUS else "one"
     n = params.n_molecules
     rows = []

@@ -98,6 +98,12 @@ class TestParseConfig:
         ("pairwise", {"d": 2}),
         ("spectrum", {"experiment": "thermal"}),
         ("thermal", {"observable": "jzvar:3"}),
+        ("spectrum", {"n": 4.7, "ez_steps": 2.9}),
+        ("spectrum", {"ez_steps": True}),
+        ("pairwise", {"d": [1.5, 2]}),
+        ("pairwise", {"p": [True]}),
+        ("thermal", {"t_steps": "3"}),
+        ("spectrum", {"workers": 1.0}),
     ])
     def test_wrong_value_type_exit_1(self, tmp_path, capsys, experiment, values):
         cfg = tmp_path / "cfg.json"
@@ -309,6 +315,24 @@ class TestScanPath:
         ])
         assert code == 0
         assert calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
+
+    @pytest.mark.parametrize("argv", [
+        ["pairwise", "--n", "8"],
+        ["thermal", "--n", "6", "--observable", "lprime:3", "--t-steps", "3"],
+    ])
+    def test_scan_builds_no_density_matrix(self, tmp_path, monkeypatch, argv):
+        calls = Counter()
+        original = entanglement.DensityMatrix.__post_init__
+
+        def counting(rho):
+            calls[rho.dims] += 1
+            original(rho)
+
+        monkeypatch.setattr(entanglement.DensityMatrix, "__post_init__", counting)
+        code = run_cli(argv + ["--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
+                               "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert calls == Counter()
 
     @pytest.mark.parametrize("experiment", ["pairwise", "partition"])
     def test_parallel_workers_match_serial(self, tmp_path, experiment):

@@ -330,9 +330,9 @@ class TestFullSpaceEquivalence:
         n = rho.params.n_molecules
         weights, vectors = embed_manifold_density(rho)
         for p in range(1, n + 1):
-            assert one_vs_rest_L(rho, p) == pytest.approx(
-                full_one_vs_rest_L(weights, vectors, n, p), abs=1e-10
-            )
+            value = one_vs_rest_L(rho, p)
+            assert 0.0 <= value <= 2.0
+            assert value == pytest.approx(full_one_vs_rest_L(weights, vectors, n, p), abs=1e-10)
         full_pairs = {}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -369,6 +369,31 @@ class TestStructuredOneVsRest:
             for rho in densities:
                 dense = sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, 51 - d))
                 assert pairwise_L_sum(rho, d) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 7, 20])
+    @pytest.mark.parametrize("flavors", [(UP,), BLOCKS])
+    def test_single_excitation_closed_form(self, n, flavors):
+        """A pure single excitation with site weights a_q, against formulas of a_q alone."""
+        rng = np.random.default_rng(n)
+        raw = {f: rng.normal(size=n) + 1j * rng.normal(size=n) for f in flavors}
+        norm = np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in raw.values()))
+        amps = {f: x / norm for f, x in raw.items()}
+        rho = ManifoldDensity.pure(ManifoldState(ModelParams(n, 0.1), 0.0, amps))
+        a = sum(np.abs(x) ** 2 for x in amps.values())  # excitation weight per site
+        for p in range(1, n + 1):
+            expected = np.log2(1.0 + 2.0 * np.sqrt(a[p - 1] * (1.0 - a[p - 1])))
+            assert one_vs_rest_L(rho, p) == pytest.approx(expected, abs=1e-12)
+        g = 1.0 - a[0] - a[-1]
+        expected = np.log2(1.0 + np.sqrt(g * g + 4.0 * a[0] * a[-1]) - g)
+        assert pairwise_L_sum(rho, n - 1) == pytest.approx(expected, abs=1e-12)
+
+    def test_localised_excitation_is_product(self):
+        """All weight on one site: g = 0 and c = 0 in every split, so 0/0 must not arise."""
+        amps = np.zeros(4, dtype=complex)
+        amps[1] = 1.0
+        rho = ManifoldDensity.pure(ManifoldState(ModelParams(4, 0.1), 0.0, {UP: amps}))
+        assert [one_vs_rest_L(rho, p) for p in range(1, 5)] == [0.0] * 4
+        assert [pairwise_L_sum(rho, d) for d in range(1, 4)] == [0.0] * 3
 
     def test_manifold_matrix_is_weighted_sum_of_projectors(self):
         rho = thermal_state(ThermalSpec(0.7, ModelParams(6, 0.1, 3.0)))
