@@ -10,6 +10,8 @@ thermal    thermal observable over a (T, e_z) grid
 crossing   field where the lowest excited levels of the two subspaces cross
 validate   full-space oracle report (JSON)
 
+Each option is one `OPTIONS` row: a flag, the config key with underscores for
+dashes, and one type/finiteness check for both; `--help` lists every option.
 Exit status: 0 success, 1 configuration error, 2 numeric/resource error.
 """
 
@@ -28,32 +30,33 @@ from .results import ScanResult
 EXPERIMENTS = ("twomol", "spectrum", "pairwise", "partition", "thermal", "crossing", "validate")
 FORMATS = ("csv", "json")
 
-CONFIG_KEYS = {
-    "experiment", "n", "v", "ez",
-    "dipole_debye", "b_ghz", "r_nm", "field_v_per_m",
-    "ez_min", "ez_max", "ez_steps",
-    "t_min", "t_max", "t_steps",
-    "d", "p", "observable",
-    "out", "format", "workers",
+# key -> (type or choices, default, help); the key is the config key and, with
+# dashes, the flag.  A None default, or a null for it, leaves the option unset.
+# The dipole scale has no canonical value: v = 0.1 is echoed into every output.
+OPTIONS = {
+    "n": (int, 50, "number of molecules"),
+    "v": (float, 0.1, "dimensionless dipole scale"),
+    "ez": (float, 0.0, "field amplitude for single-point experiments"),
+    "dipole_debye": (float, None, "dipole moment in Debye"),
+    "b_ghz": (float, None, "rotational constant in GHz"),
+    "r_nm": (float, None, "intermolecular spacing in nm"),
+    "field_v_per_m": (float, None, "electric field in V/m"),
+    "ez_min": (float, 0.0, "lowest field of the e_z grid (default per experiment)"),
+    "ez_max": (float, 1.0, "highest field of the e_z grid (default per experiment)"),
+    "ez_steps": (int, 2, "number of e_z grid points (default per experiment)"),
+    "t_min": (float, 0.2, "lowest rescaled temperature"),
+    "t_max": (float, 1.2, "highest rescaled temperature"),
+    "t_steps": (int, 20, "number of temperatures"),
+    "d": (list, [1, 10, 25], "comma-separated pair distances, e.g. 1,10,25"),
+    "p": (list, [1, 26], "comma-separated site positions, e.g. 1,26"),
+    "observable": (str, None, "thermal observable: lprime:P, ld:D or jzvar"),
+    "out": (str, None, "output path (default: rotorchain_<experiment>.<format>)"),
+    "format": (FORMATS, "csv", "output format"),
+    "workers": (int, 1, "parallel workers for grid scans"),
 }
+KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list of integers"}
 
-# per-experiment defaults; the dipole scale has no canonical value, so the
-# default v = 0.1 is a documented choice echoed into every output
-DEFAULTS = {
-    "n": 50,
-    "v": 0.1,
-    "ez": 0.0,
-    "t_min": 0.2,
-    "t_max": 1.2,
-    "t_steps": 20,
-    "d": [1, 10, 25],
-    "p": [1, 26],
-    "observable": None,  # thermal default: lprime at the central site
-    "format": "csv",
-    "workers": 1,
-}
-
-# (ez_min, ez_max, ez_steps) per experiment
+# (ez_min, ez_max, ez_steps) per scan experiment, in place of the table's defaults
 EZ_GRID_DEFAULTS = {
     "spectrum": (0.0, 25.0, 200),
     "pairwise": (0.0, 12.0, 121),
@@ -110,73 +113,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file; flags override file values")
-    parser.add_argument("--n", type=int, help="number of molecules")
-    parser.add_argument("--v", type=float, help="dimensionless dipole scale")
-    parser.add_argument("--ez", type=float, help="field amplitude for single-point experiments")
-    parser.add_argument("--dipole-debye", type=float, help="dipole moment in Debye")
-    parser.add_argument("--b-ghz", type=float, help="rotational constant in GHz")
-    parser.add_argument("--r-nm", type=float, help="intermolecular spacing in nm")
-    parser.add_argument("--field-v-per-m", type=float, help="electric field in V/m")
-    parser.add_argument("--ez-min", type=float)
-    parser.add_argument("--ez-max", type=float)
-    parser.add_argument("--ez-steps", type=int)
-    parser.add_argument("--t-min", type=float)
-    parser.add_argument("--t-max", type=float)
-    parser.add_argument("--t-steps", type=int)
-    parser.add_argument("--d", help="comma-separated pair distances, e.g. 1,10,25")
-    parser.add_argument("--p", help="comma-separated site positions, e.g. 1,26")
-    parser.add_argument("--observable", help="thermal observable: lprime:P, ld:D or jzvar")
-    parser.add_argument("--out", help="output path (default: rotorchain_<experiment>.<format>)")
-    parser.add_argument("--format", choices=FORMATS, dest="fmt")
-    parser.add_argument("--workers", type=int, help="parallel workers for grid scans")
+    for key, (kind, _, text) in OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(kind, tuple):
+            parser.add_argument(flag, choices=kind, help=text)
+        else:
+            parser.add_argument(flag, type=kind if kind in (int, float) else str, help=text)
     return parser
 
 
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    unknown = sorted(set(data) - CONFIG_KEYS)
+    unknown = sorted(set(data) - set(OPTIONS) - {"experiment"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return data
 
 
-def _require_int(key: str, value):
-    """Reject a config value that is not a JSON integer (bools and floats are not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} = {value!r} must be an integer")
-    return value
+def _check(key: str, value, kind):
+    """Return a flag or config value of the option's kind, else raise naming the key.
 
-
-def _positions(key: str, value, upper: int) -> list:
-    """Parse a --d/--p list ("1,10,25" or a list) and reject entries outside 1..upper."""
-    if isinstance(value, str):
+    No bool or string is a number, a float must be finite (no nan, no integer
+    beyond float range), and a position list is a list of integers or a
+    comma-separated string of them.
+    """
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValueError(f"unknown {OPTIONS[key][2]} {value!r}; expected one of {', '.join(kind)}")
+    if kind is list and isinstance(value, str):
         value = [int(tok) for tok in value.split(",") if tok.strip()]
-    positions = list(value)
+    if kind is list and isinstance(value, list):
+        return [_check(key, x, int) for x in value]
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind in (int, str) and isinstance(value, kind):
+            return value
+    raise ValueError(f"{key} = {value!r} must be {KIND_NAMES[kind]}")
+
+
+def _in_range(key: str, positions: list, upper: int) -> list:
     for x in positions:
-        _require_int(key, x)
         if not 1 <= x <= upper:
             raise ValueError(f"{key} = {x} is outside 1..{upper} for this chain")
     return positions
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file values over experiment defaults."""
+    """Merge flags over config-file values over defaults, checking each value by its table row."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     experiment = args.experiment
     if file_cfg.get("experiment", experiment) != experiment:
         raise ValueError(f"config experiment = {file_cfg['experiment']!r} differs from the command's {experiment!r}")
-    ez_min, ez_max, ez_steps = EZ_GRID_DEFAULTS.get(experiment, (0.0, 1.0, 2))
-    defaults = dict(DEFAULTS, ez_min=ez_min, ez_max=ez_max, ez_steps=ez_steps)
+    defaults = {key: default for key, (_, default, _) in OPTIONS.items()}
+    defaults.update(zip(("ez_min", "ez_max", "ez_steps"), EZ_GRID_DEFAULTS.get(experiment, ())))
 
-    def pick(key, flag_value):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, defaults.get(key))
+    def pick(key):
+        value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key, defaults[key])
+        if value is None and defaults[key] is None:
+            return None
+        return _check(key, value, OPTIONS[key][0])
 
-    n = _require_int("n", pick("n", args.n))
+    n = pick("n")
     physical = {}
-    phys_values = {key: pick(key, getattr(args, key)) for key in ("dipole_debye", "b_ghz", "r_nm", "field_v_per_m")}
+    phys_values = {key: pick(key) for key in ("dipole_debye", "b_ghz", "r_nm", "field_v_per_m")}
     core = (phys_values["dipole_debye"], phys_values["b_ghz"], phys_values["r_nm"])
     if any(v is not None for v in core):
         if any(v is None for v in core):
@@ -194,41 +198,36 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         physical["converted_v_dip"] = v
         physical["converted_e_z"] = ez
     else:
-        v = float(pick("v", args.v))
-        ez = float(pick("ez", args.ez))
+        v = pick("v")
+        ez = pick("ez")
 
     if experiment == "twomol":
         n = 2  # the calibration table is defined for two molecules
-    ez_min = float(pick("ez_min", args.ez_min))
-    ez_max = float(pick("ez_max", args.ez_max))
-    ez_steps = _require_int("ez_steps", pick("ez_steps", args.ez_steps))
-    ez_grid = manifold.field_grid(np.linspace(ez_min, ez_max, ez_steps))
+    ez_grid = manifold.field_grid(np.linspace(pick("ez_min"), pick("ez_max"), pick("ez_steps")))
 
-    t_min = float(pick("t_min", args.t_min))
-    t_max = float(pick("t_max", args.t_max))
-    t_steps = _require_int("t_steps", pick("t_steps", args.t_steps))
+    t_min, t_max, t_steps = pick("t_min"), pick("t_max"), pick("t_steps")
     if t_steps < 1 or t_max < t_min or t_min <= 0:
         raise ValueError("temperature grid must be positive, ascending and non-empty")
     t_grid = np.linspace(t_min, t_max, t_steps)
 
     # the N = 50 default positions are clamped to the chain; given ones are checked
     if args.d is None and "d" not in file_cfg:
-        d_list = [d for d in DEFAULTS["d"] if d <= n - 1] or [1]
+        d_list = [d for d in defaults["d"] if d <= n - 1] or [1]
     else:
-        d_list = _positions("d", pick("d", args.d), n - 1)
+        d_list = _in_range("d", pick("d"), n - 1)
     if args.p is None and "p" not in file_cfg:
-        p_list = [p for p in DEFAULTS["p"] if p <= n] or [n // 2 + 1]
+        p_list = [p for p in defaults["p"] if p <= n] or [n // 2 + 1]
     else:
-        p_list = _positions("p", pick("p", args.p), n)
+        p_list = _in_range("p", pick("p"), n)
 
-    observable_raw = pick("observable", args.observable)
+    observable_raw = pick("observable")
     observable = thermal.parse_observable(observable_raw) if observable_raw else ("lprime", n // 2 + 1)
+    if observable_raw:  # the default, the central site, exists on every chain
+        _in_range(f"observable {observable[0]}", observable[1:], n if observable[0] == "lprime" else n - 1)
 
-    fmt = pick("format", args.fmt)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown output format {fmt!r}; expected one of {', '.join(FORMATS)}")
-    out = pick("out", args.out) or f"rotorchain_{experiment}.{fmt}"
-    workers = _require_int("workers", pick("workers", args.workers))
+    fmt = pick("format")
+    out = pick("out") or f"rotorchain_{experiment}.{fmt}"
+    workers = pick("workers")
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")
     return RunConfig(

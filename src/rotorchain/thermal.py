@@ -4,9 +4,9 @@ The partition function includes only the ground configuration and the 3N
 one-excitation levels, the regime where the rescaled temperature T = k_B T/B
 is low enough that higher manifolds stay unpopulated.  Energies are measured
 from the lowest manifold level before exponentiation so small T cannot
-underflow.  The omitted two-excitation states sit near 4B; their neglected
-relative weight is bounded by exp(-(E_2exc - E_0)/T), which
-`truncation_weight_bound` evaluates.
+underflow.  exp(-4/T) (`truncation_weight_bound`) weighs one omitted 4B state, but
+the manifold drops D = 1 - (1 + N x)/(1 + x)^N of the v = 0 Z, x = exp(-gap_plus/T)
++ 2 exp(-gap_one/T) over the dressed site gaps: at N = 50, 1 % at T ~ 0.29, 50 % at 0.45.
 
 A (T, e_z) scan solves each field once and reuses its 3N+1 levels for every
 temperature.
@@ -64,7 +64,7 @@ def thermal_state(spec: ThermalSpec) -> ManifoldDensity:
 
 
 def truncation_weight_bound(spec: ThermalSpec) -> float:
-    """Upper bound on the relative Boltzmann weight of an omitted ~4B state."""
+    """Relative Boltzmann weight of one omitted ~4B state; it bounds no total dropped weight."""
     return float(np.exp(-4.0 / spec.t_rescaled))
 
 

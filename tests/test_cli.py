@@ -104,13 +104,56 @@ class TestParseConfig:
         ("pairwise", {"p": [True]}),
         ("thermal", {"t_steps": "3"}),
         ("spectrum", {"workers": 1.0}),
+        ("spectrum", {"v": True}),
+        ("spectrum", {"ez_max": "3"}),
+        ("thermal", {"t_min": "0.3"}),
+        ("spectrum", {"dipole_debye": True, "b_ghz": 1.0, "r_nm": 1.0}),
+        ("thermal", {"observable": 5}),
+        ("spectrum", {"ez_max": 10**400}),
     ])
     def test_wrong_value_type_exit_1(self, tmp_path, capsys, experiment, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4, **values}))
         code = run_cli([experiment, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
         assert code == 1
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert any(f"{key} " in err for key in values)
+
+    @pytest.mark.parametrize("argv,key", [
+        (["thermal", "--t-max", "inf"], "t_max"),
+        (["spectrum", "--ez-max", "nan"], "ez_max"),
+        (["spectrum", "--ez", "inf"], "ez"),
+        (["spectrum", "--v", "inf"], "v"),
+    ])
+    def test_non_finite_flag_exit_1(self, tmp_path, capsys, argv, key):
+        code = run_cli(argv + ["--n", "4", "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} = " in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("experiment,ez_grid", [
+        ("twomol", (0.0, 1.0, 2)),
+        ("spectrum", (0.0, 25.0, 200)),
+        ("pairwise", (0.0, 12.0, 121)),
+        ("partition", (0.0, 12.0, 121)),
+        ("thermal", (0.0, 15.0, 20)),
+        ("crossing", (1e-3, 30.0, 2)),
+        ("validate", (0.0, 1.0, 2)),
+    ])
+    def test_defaults_per_experiment(self, experiment, ez_grid):
+        config = cli.resolve(cli.build_parser().parse_args([experiment]))
+        n = 2 if experiment == "twomol" else 50
+        assert (config.n, config.v, config.ez, config.workers, config.physical) == (n, 0.1, 0.0, 1, {})
+        assert type(config.v) is float and type(config.ez) is float
+        assert (config.ez_grid[0], config.ez_grid[-1], len(config.ez_grid)) == ez_grid
+        assert (config.t_grid[0], config.t_grid[-1], len(config.t_grid)) == (0.2, 1.2, 20)
+        if experiment == "twomol":
+            assert (config.d_list, config.p_list, config.observable) == ([1], [1], ("lprime", 2))
+        else:
+            assert (config.d_list, config.p_list, config.observable) == ([1, 10, 25], [1, 26], ("lprime", 26))
+        assert (config.out, config.fmt) == (f"rotorchain_{experiment}.csv", "csv")
 
     @pytest.mark.parametrize("argv", [
         ["bogus"],
@@ -257,6 +300,14 @@ class TestRun:
         assert code == 1
         assert bad in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("observable", ["lprime:0", "lprime:-1", "lprime:11", "ld:0", "ld:10"])
+    def test_thermal_observable_index_checked_before_scan(self, tmp_path, capsys, solve_calls, observable):
+        code = run_cli(["thermal", "--n", "10", "--observable", observable,
+                        "--ez-steps", "1", "--t-steps", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "configuration error: observable" in capsys.readouterr().err
+        assert solve_calls == Counter()
 
 
 SCAN_ARGV = {

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rotorchain.entanglement import one_vs_rest_L
-from rotorchain.model import ModelParams
-from rotorchain.oracle import embed_manifold_density, full_one_vs_rest_L, full_pair_L
+from rotorchain.model import ModelParams, dressed_solution
+from rotorchain.oracle import embed_manifold_density, full_hamiltonian, full_one_vs_rest_L, full_pair_L
 from rotorchain.entanglement import log_negativity, pair_reduced
 from rotorchain.thermal import (
     ThermalSpec,
@@ -69,6 +69,27 @@ class TestThermalState:
     def test_truncation_bound(self):
         spec = ThermalSpec(0.5, ModelParams(2, 0.1))
         assert truncation_weight_bound(spec) == pytest.approx(np.exp(-8.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dropped_weight_is_the_free_site_share(self, n):
+        """The Boltzmann weight outside the 3N+1 manifold levels exceeds exp(-4/T).
+
+        At v = 0 the partition function factorises, Z = (1 + x)^N with
+        x = exp(-D_plus/T) + 2 exp(-D_one/T) from the dressed site gaps, and the
+        manifold keeps 1 + N x of it, so it drops D = 1 - (1 + N x)/(1 + x)^N.
+        The O(v) level shifts move the exact weight off D by up to 15 % here.
+        """
+        for e_z in (0.0, 2.0, 12.0):
+            params = ModelParams(n, 0.1, e_z)
+            levels = np.linalg.eigvalsh(full_hamiltonian(params))
+            site = dressed_solution(e_z, params)
+            for t in (0.2, 0.35, 0.5, 0.8, 1.2):
+                boltzmann = np.exp(-(levels - levels[0]) / t)
+                dropped = boltzmann[3 * n + 1:].sum() / boltzmann.sum()
+                x = np.exp(-(site.e_plus - site.e_minus) / t) + 2.0 * np.exp(-(2.0 - site.e_minus) / t)
+                free_site_share = 1.0 - (1.0 + n * x) / (1.0 + x) ** n
+                assert dropped > truncation_weight_bound(ThermalSpec(t, params))
+                assert free_site_share == pytest.approx(dropped, rel=0.2)
 
 
 class TestBruteForceAgreement:
