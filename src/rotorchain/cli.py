@@ -50,7 +50,7 @@ OPTIONS = {
     "d": (list, [1, 10, 25], "comma-separated pair distances, e.g. 1,10,25"),
     "p": (list, [1, 26], "comma-separated site positions, e.g. 1,26"),
     "observable": (str, None, "thermal observable: lprime:P, ld:D or jzvar"),
-    "out": (str, None, "output path (default: rotorchain_<experiment>.<format>)"),
+    "out": (str, None, "output path (default: rotorchain_<experiment>.<format>, .json for validate)"),
     "format": (FORMATS, "csv", "output format"),
     "workers": (int, 1, "parallel workers for grid scans"),
 }
@@ -143,7 +143,10 @@ def _check(key: str, value, kind):
             return value
         raise ValueError(f"unknown {OPTIONS[key][2]} {value!r}; expected one of {', '.join(kind)}")
     if kind is list and isinstance(value, str):
-        value = [int(tok) for tok in value.split(",") if tok.strip()]
+        try:
+            value = [int(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"{key} = {value!r} must be {KIND_NAMES[kind]}") from None
     if kind is list and isinstance(value, list):
         return [_check(key, x, int) for x in value]
     if not isinstance(value, bool):
@@ -226,7 +229,8 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         _in_range(f"observable {observable[0]}", observable[1:], n if observable[0] == "lprime" else n - 1)
 
     fmt = pick("format")
-    out = pick("out") or f"rotorchain_{experiment}.{fmt}"
+    # the validate report is JSON whatever the format
+    out = pick("out") or f"rotorchain_{experiment}.{'json' if experiment == 'validate' else fmt}"
     workers = pick("workers")
     if workers < 1:
         raise ValueError(f"workers = {workers} must be at least 1")

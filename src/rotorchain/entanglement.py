@@ -22,11 +22,27 @@ split's partial transpose is the PSD blocks rm[A, A] and rm[B, B]^T plus one
 2 x 2 block [[g, c], [c, 0]]: g is the all-ground element (slot 0 plus every
 traced slot's diagonal) and c^2 = sum |rm[A, B]|^2, the A-B coherences that
 the transpose moves next to it.  Its one negative eigenvalue gives
-N = 2 c^2 / (g + sqrt(g^2 + 4 c^2)), the W-state form; `_split_L` computes
-it with no eigensolve.  A state with ground coherence goes through the dense
-`split_density` instead.  A manifold density is validated on construction
-(weights >= 0 summing to 1, normalised states), so its manifold matrix is
-not checked again.
+N = 2 c^2 / (g + sqrt(g^2 + 4 c^2)), the W-state form; `closed_form_L`
+computes it with no eigensolve.  A state with ground coherence goes through
+the dense `split_density` instead.  A manifold density is validated on
+construction (weights >= 0 summing to 1, normalised states), so its manifold
+matrix is not checked again.
+
+The scans never form the manifold matrix.  Flavours do not mix, so rm is the
+ground weight w_0 plus one real N x N correlation matrix per flavour,
+R^f = U_f diag(w_f) U_f^T, with U_f the block's eigenvector columns and w_f
+their weights.  `SpectralMixture` reads every split from U_f and w_f, for a
+whole batch of weight vectors (every temperature of a field) at once:
+
+    L'_p:  g = w_0,  c^2 = sum_f [(U_f o U_f)_p . w_f^2 - ((U_f o U_f)_p . w_f)^2]
+    L_d:   pop = sum_f (U_f o U_f) w_f,  g_i = 1 - pop_i - pop_(i+d),
+           c_i^2 = sum_f ((U_f[:-d] o U_f[d:]) w_f)_i^2
+
+with o the elementwise product.  A pure level is the one-column case: its
+branch's lowest eigenvector a with weight s = 1 ("plus") or s = 1/2 on each
+of "up" and "down", which gives g = 1 - a_i^2 - a_(i+d)^2, c = sqrt(s) |a_i a_(i+d)|
+for a pair and g = 0, c^2 = s a_p^2 (1 - a_p^2) against the rest.  The
+`ManifoldDensity` functions stay the reference these rows are tested against.
 """
 
 from dataclasses import dataclass
@@ -38,6 +54,7 @@ from .manifold import (
     DOWN,
     FLAVOR_OF_BLOCK,
     HONE_BLOCKS,
+    NORM_TOL,
     PLUS,
     UP,
     ManifoldState,
@@ -181,14 +198,25 @@ def pair_reduced(rho: ManifoldDensity, i: int, j: int) -> DensityMatrix:
     return split_density(rho, i, [j])
 
 
+def closed_form_L(g, c) -> np.ndarray:
+    """log2(2 N + 1) of the split block [[g, c], [c, 0]], elementwise over arrays.
+
+    g is the all-ground weight and c >= 0 the coherence norm; N = 2 c^2 /
+    (g + sqrt(g^2 + 4 c^2)), and an N at or below the cutoff gives 0.  A g
+    below 0 can only be rounding of a vanishing weight, so it counts as 0.
+    """
+    g, c = np.broadcast_arrays(np.maximum(g, 0.0), np.asarray(c, dtype=float))
+    neg = np.zeros(g.shape)
+    np.divide(2.0 * c * c, g + np.hypot(g, 2.0 * c), out=neg, where=c > 0)
+    return np.where(neg > NEGATIVE_EIGENVALUE_CUTOFF, np.log2(2.0 * neg + 1.0), 0.0)
+
+
 def _split_L(rm: np.ndarray, p: int, others) -> float:
     """Log-negativity of molecule p against the 1-based `others`, for `rm` with rm[0, 1:] = 0."""
     a = np.arange(_site_slot(p - 1, 0), _site_slot(p - 1, 3))
     b = np.array([_site_slot(q - 1, f) for q in others for f in range(3)])
     g = np.delete(rm.diagonal(), np.r_[a, b]).real.sum()  # slot 0 plus every traced slot
-    c = np.linalg.norm(rm[np.ix_(a, b)])
-    neg = 2.0 * c * c / (g + np.hypot(g, 2.0 * c)) if c else 0.0
-    return log2(2.0 * neg + 1.0) if neg > NEGATIVE_EIGENVALUE_CUTOFF else 0.0
+    return float(closed_form_L(g, np.linalg.norm(rm[np.ix_(a, b)])))
 
 
 def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
@@ -249,17 +277,74 @@ def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
     return branch_density(params, spectra, lowest_excited(spectra)[0])
 
 
+class SpectralMixture:
+    """A batch of excitation-diagonal manifold densities, held as block eigenpairs.
+
+    `flavours` maps a block label to (U, W): U (N x K) holds eigenvector
+    columns of that block and W (K x M) their weights, one column per density.
+    Density m is ground[m] on the all-ground slot plus R^f = U diag(W[:, m]) U^T
+    per flavour (see the module docstring); no R^f is formed.  Every method
+    returns one value per density.  Validated on construction: weights >= 0,
+    each density's weights sum to 1, and every eigenvector column has unit norm.
+    """
+
+    def __init__(self, ground, flavours: dict):
+        self.ground = np.asarray(ground, dtype=float)
+        self.flavours = {}  # label -> (U, U o U, W)
+        total = self.ground
+        for label, (u, w) in flavours.items():
+            u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+            if not np.all(w >= 0):
+                raise ValueError("weights must be non-negative")
+            if not np.all(np.abs((u * u).sum(axis=0) - 1.0) <= NORM_TOL):
+                raise ValueError(f"block {label!r} eigenvectors are not normalized")
+            self.flavours[label] = (u, u * u, w)
+            total = total + w.sum(axis=0)
+        if not (np.all(self.ground >= 0) and np.all(np.abs(total - 1.0) <= TRACE_TOL)):
+            raise ValueError(f"weights must be non-negative and sum to 1, got sums {total!r}")
+        self.n_molecules = u.shape[0]
+
+    def one_vs_rest_L(self, p: int) -> np.ndarray:
+        """L'_p: log-negativity of molecule p against the rest of the chain."""
+        if not 1 <= p <= self.n_molecules:
+            raise ValueError(f"need 1 <= p <= {self.n_molecules}, got {p}")
+        c2 = sum(sq[p - 1] @ (w * w) - (sq[p - 1] @ w) ** 2 for _, sq, w in self.flavours.values())
+        return closed_form_L(self.ground, np.sqrt(np.maximum(c2, 0.0)))
+
+    def pairwise_L_sum(self, d: int) -> np.ndarray:
+        """L_d: pair log-negativity summed over all pairs at chain distance d."""
+        if not 1 <= d <= self.n_molecules - 1:
+            raise ValueError(f"need 1 <= d <= {self.n_molecules - 1}, got {d}")
+        pop = sum(sq @ w for _, sq, w in self.flavours.values())
+        c2 = sum(((u[:-d] * u[d:]) @ w) ** 2 for u, _, w in self.flavours.values())
+        return closed_form_L(1.0 - pop[:-d] - pop[d:], np.sqrt(c2)).sum(axis=0)
+
+    def jz_variance(self) -> np.ndarray:
+        """Variance of the total axial angular momentum: "up" carries m = +1, "down" m = -1.
+
+        A flavour's total weight is the sum of its W, its columns having unit norm.
+        """
+        weight = {label: w.sum(axis=0) for label, (_, _, w) in self.flavours.items()}
+        up, down = weight.get(UP, 0.0), weight.get(DOWN, 0.0)
+        return up + down - (up - down) ** 2
+
+
 def lowest_excited_rows(d_list, p_list, params: ModelParams, block_h, spectra: dict) -> list:
-    """(e_z, "ld" | "lprime", d | p, branch, value, per-pair mean) rows of the lowest excited level."""
+    """(e_z, "ld" | "lprime", d | p, branch, value, per-pair mean) rows of the lowest excited level.
+
+    The level is its branch's lowest eigenvector with weight 1 ("plus"), or
+    1/2 on each of "up" and "down" (the |m| = 1 mixture of `branch_density`).
+    """
     label, _ = lowest_excited(spectra)
-    rm = branch_density(params, spectra, label).manifold_matrix()
+    a = spectra[label].eigenvectors[:, :1]
+    shares = {PLUS: 1.0} if label == PLUS else dict.fromkeys(HONE_BLOCKS, 0.5)
+    level = SpectralMixture([0.0], {b: (a, [[s]]) for b, s in shares.items()})
     branch = "plus" if label == PLUS else "one"
     n = params.n_molecules
     rows = []
     for d in d_list:
-        value = sum(_split_L(rm, i, [i + d]) for i in range(1, n - d + 1))
+        value = float(level.pairwise_L_sum(d)[0])
         rows.append((params.e_z, "ld", d, branch, value, value / (n - d)))
     for p in p_list:
-        value = _split_L(rm, p, [q for q in range(1, n + 1) if q != p])
-        rows.append((params.e_z, "lprime", p, branch, value, ""))
+        rows.append((params.e_z, "lprime", p, branch, float(level.one_vs_rest_L(p)[0]), ""))
     return rows

@@ -37,6 +37,9 @@ HONE_BLOCKS = (UP, DOWN)
 # flavor index inside a site's excited triple, in manifold basis order
 FLAVOR_OF_BLOCK = {PLUS: 0, UP: 1, DOWN: 2}
 
+# largest | |psi|^2 - 1 | accepted for a manifold state or an eigenvector column
+NORM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
@@ -75,7 +78,7 @@ class ManifoldState:
             if amps.shape != (n,):
                 raise ValueError(f"block {label!r} amplitudes must have shape ({n},)")
             norm2 += float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"manifold state not normalized: |psi|^2 = {norm2!r}")
 
     def vector(self) -> np.ndarray:

@@ -8,8 +8,14 @@ underflow.  exp(-4/T) (`truncation_weight_bound`) weighs one omitted 4B state, b
 the manifold drops D = 1 - (1 + N x)/(1 + x)^N of the v = 0 Z, x = exp(-gap_plus/T)
 + 2 exp(-gap_one/T) over the dressed site gaps: at N = 50, 1 % at T ~ 0.29, 50 % at 0.45.
 
-A (T, e_z) scan solves each field once and reuses its 3N+1 levels for every
-temperature.
+A (T, e_z) scan solves each field once and computes every temperature of it
+at once from the block eigenpairs.  The weights of the 3N+1 levels form one
+(3N+1) x T matrix W.  At each T, flavour f's correlation matrix is
+R^f = U_f diag(w_f) U_f^T, with U_f the block's eigenvectors and w_f its rows
+of W, and every row is a closed form in U_f and W that forms no R^f
+(`entanglement.SpectralMixture`).  The scan builds no manifold state, no
+density and no manifold matrix; `thermal_state` builds the `ManifoldDensity`
+that the tests compare those rows against.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .entanglement import ManifoldDensity, jz_variance, one_vs_rest_L, pairwise_L_sum
+from .entanglement import ManifoldDensity, SpectralMixture, jz_variance, one_vs_rest_L, pairwise_L_sum
 from .manifold import BLOCKS, block_eigenstate, build_block_hamiltonian, ground_manifold_state, scan_fields, solve_blocks
 from .model import ModelParams
 from .results import ScanResult
@@ -33,23 +39,14 @@ class ThermalSpec:
             raise ValueError(f"rescaled temperature must be > 0, got {self.t_rescaled}")
 
 
-def manifold_levels(params: ModelParams, block_h, spectra: dict):
-    """Energies and states of the 3N+1 manifold levels, ground first."""
-    energies = [block_h.ground_energy]
-    states = [ground_manifold_state(params)]
-    for label in BLOCKS:
-        spectrum = spectra[label]
-        for k in range(params.n_molecules):
-            energies.append(float(spectrum.eigenvalues[k]))
-            states.append(block_eigenstate(params, spectrum, k))
-    return np.asarray(energies), states
+def _boltzmann_weights(block_h, spectra: dict, t_grid) -> np.ndarray:
+    """Weights of the 3N+1 levels, one normalized row per temperature.
 
-
-def boltzmann_mixture(energies: np.ndarray, states, spec: ThermalSpec) -> ManifoldDensity:
-    """Boltzmann mixture of the given levels at the temperature of `spec`."""
-    weights = np.exp(-(energies - energies.min()) / spec.t_rescaled)
-    weights /= weights.sum()
-    return ManifoldDensity.mixture(weights, states)
+    Levels are ordered ground, then the "plus", "up" and "down" blocks.
+    """
+    energies = np.concatenate([[block_h.ground_energy]] + [spectra[label].eigenvalues for label in BLOCKS])
+    weights = np.exp(-(energies - energies.min()) / np.asarray(t_grid, dtype=float)[:, None])
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def thermal_state(spec: ThermalSpec) -> ManifoldDensity:
@@ -58,9 +55,14 @@ def thermal_state(spec: ThermalSpec) -> ManifoldDensity:
     Degenerate "up"/"down" partners share one eigenvalue array, so their
     weights are equal bit for bit.
     """
-    block_h = build_block_hamiltonian(spec.params)
-    energies, states = manifold_levels(spec.params, block_h, solve_blocks(block_h))
-    return boltzmann_mixture(energies, states, spec)
+    params = spec.params
+    block_h = build_block_hamiltonian(params)
+    spectra = solve_blocks(block_h)
+    states = [ground_manifold_state(params)] + [
+        block_eigenstate(params, spectra[label], k) for label in BLOCKS for k in range(params.n_molecules)
+    ]
+    weights = _boltzmann_weights(block_h, spectra, [spec.t_rescaled])[0]
+    return ManifoldDensity.mixture(weights, states)
 
 
 def truncation_weight_bound(spec: ThermalSpec) -> float:
@@ -74,9 +76,10 @@ def parse_observable(spec_string: str):
     if spec_string == "jzvar":
         return ("jzvar",)
     if name in ("lprime", "ld"):
-        if not arg:
-            raise ValueError(f"observable {name!r} needs a site/distance, e.g. '{name}:1'")
-        return (name, int(arg))
+        try:
+            return (name, int(arg))
+        except ValueError:
+            raise ValueError(f"observable {spec_string!r} needs an integer site/distance, e.g. '{name}:1'") from None
     raise ValueError(f"unknown observable {spec_string!r}; expected lprime:P, ld:D or jzvar")
 
 
@@ -95,15 +98,24 @@ def observable_name(observable) -> str:
     return observable[0] if len(observable) == 1 else f"{observable[0]}:{observable[1]}"
 
 
+SPECTRAL_OBSERVABLES = {
+    "lprime": SpectralMixture.one_vs_rest_L,
+    "ld": SpectralMixture.pairwise_L_sum,
+    "jzvar": SpectralMixture.jz_variance,
+}
+
+
 def _thermal_rows(t_grid, observable, params: ModelParams, block_h, spectra: dict) -> list:
-    """One row per temperature at the field of `params`."""
-    energies, states = manifold_levels(params, block_h, spectra)
+    """One row per temperature at the field of `params`, all from the block eigenpairs."""
+    n = params.n_molecules
+    weights = _boltzmann_weights(block_h, spectra, t_grid).T
+    mixture = SpectralMixture(weights[0], {
+        label: (spectra[label].eigenvectors, weights[1 + k * n:1 + (k + 1) * n])
+        for k, label in enumerate(BLOCKS)
+    })
+    values = SPECTRAL_OBSERVABLES[observable[0]](mixture, *observable[1:])
     name = observable_name(observable)
-    rows = []
-    for t in t_grid:
-        rho = boltzmann_mixture(energies, states, ThermalSpec(t, params))
-        rows.append((t, params.e_z, name, evaluate_observable(rho, observable)))
-    return rows
+    return [(t, params.e_z, name, float(value)) for t, value in zip(t_grid, values)]
 
 
 def thermal_scan(params: ModelParams, t_grid, e_z_grid, observable, workers: int = 1) -> ScanResult:

@@ -153,7 +153,8 @@ class TestParseConfig:
             assert (config.d_list, config.p_list, config.observable) == ([1], [1], ("lprime", 2))
         else:
             assert (config.d_list, config.p_list, config.observable) == ([1, 10, 25], [1, 26], ("lprime", 26))
-        assert (config.out, config.fmt) == (f"rotorchain_{experiment}.csv", "csv")
+        suffix = "json" if experiment == "validate" else "csv"  # the validate report is JSON
+        assert (config.out, config.fmt) == (f"rotorchain_{experiment}.{suffix}", "csv")
 
     @pytest.mark.parametrize("argv", [
         ["bogus"],
@@ -246,6 +247,14 @@ class TestRun:
         assert "report" in payload
         assert payload["report"]["max_eigenvalue_dev"] < 0.75 * 0.05**2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_validate_default_path_is_json(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["validate", "--n", "3", "--v", "0.05", "--format", fmt])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["rotorchain_validate.json"]
+        assert "report" in json.loads((tmp_path / "rotorchain_validate.json").read_text())
+
     def test_resource_guard_exit_2(self, tmp_path, capsys):
         code = run_cli(["validate", "--n", "7", "--v", "0.05", "--out", str(tmp_path / "v.json")])
         assert code == 2
@@ -292,6 +301,8 @@ class TestRun:
         (["--workers", "0"], "workers = 0"),
         (["--workers", "-3"], "workers = -3"),
         (["--observable", "jzvar:3"], "'jzvar:3'"),
+        (["--observable", "lprime:x"], "observable 'lprime:x' needs an integer"),
+        (["--d", "1.5"], "d = '1.5' must be a list of integers"),
     ])
     def test_explicit_positions_out_of_range_exit_1(self, tmp_path, capsys, flags, bad):
         out = tmp_path / "p.csv"
@@ -351,21 +362,34 @@ class TestScanPath:
         assert code == 0
         assert solve_calls == Counter({0.5: 1})
 
-    def test_pairwise_builds_manifold_matrix_once_per_field(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        SCAN_ARGV["pairwise"],
+        SCAN_ARGV["partition"],
+        ["thermal", "--n", "5", "--t-steps", "3", "--observable", "lprime:3"],
+        ["thermal", "--n", "5", "--t-steps", "3", "--observable", "ld:1"],
+        ["thermal", "--n", "5", "--t-steps", "3", "--observable", "jzvar"],
+    ], ids=["pairwise", "partition", "thermal-lprime", "thermal-ld", "thermal-jzvar"])
+    def test_scan_builds_no_manifold_matrix_or_state(self, tmp_path, monkeypatch, argv):
         calls = Counter()
-        original = entanglement.ManifoldDensity.manifold_matrix
+        matrix = entanglement.ManifoldDensity.manifold_matrix
+        state = manifold.ManifoldState.__post_init__
 
-        def counting(rho):
-            calls[rho.params.e_z] += 1
-            return original(rho)
+        def counting_matrix(rho):
+            calls["manifold_matrix"] += 1
+            return matrix(rho)
 
-        monkeypatch.setattr(entanglement.ManifoldDensity, "manifold_matrix", counting)
-        code = run_cli(SCAN_ARGV["pairwise"] + [
+        def counting_state(psi):
+            calls["ManifoldState"] += 1
+            state(psi)
+
+        monkeypatch.setattr(entanglement.ManifoldDensity, "manifold_matrix", counting_matrix)
+        monkeypatch.setattr(manifold.ManifoldState, "__post_init__", counting_state)
+        code = run_cli(argv + [
             "--v", "0.1", "--ez-min", "0", "--ez-max", "12", "--ez-steps", "4",
             "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 0
-        assert calls == Counter({e_z: 1 for e_z in np.linspace(0.0, 12.0, 4)})
+        assert calls == Counter()
 
     @pytest.mark.parametrize("argv", [
         ["pairwise", "--n", "8"],

@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 from rotorchain.entanglement import (
     DensityMatrix,
     ManifoldDensity,
+    SpectralMixture,
     branch_density,
     jz_variance,
     log_negativity,
     lowest_excited_density,
+    lowest_excited_rows,
     one_vs_rest_L,
     pair_reduced,
     pairwise_L_sum,
@@ -24,7 +26,9 @@ from rotorchain.manifold import (
     UP,
     ManifoldState,
     block_eigenstate,
+    SubspaceSpectrum,
     build_block_hamiltonian,
+    lowest_excited,
     solve_blocks,
 )
 from rotorchain.model import ModelParams
@@ -399,6 +403,66 @@ class TestStructuredOneVsRest:
         rho = thermal_state(ThermalSpec(0.7, ModelParams(6, 0.1, 3.0)))
         expected = sum(w * np.outer(s.vector(), s.vector().conj()) for w, s in zip(rho.weights, rho.states))
         assert np.max(np.abs(rho.manifold_matrix() - expected)) < 1e-15
+
+
+class TestSpectralMixture:
+    """Rows from block eigenpairs against the `ManifoldDensity` route."""
+
+    @pytest.mark.parametrize("n", [3, 7, 50])
+    @pytest.mark.parametrize("e_z", [2.0, 12.0])  # both branches at N = 50, e_z* = 9.14
+    def test_lowest_excited_rows_match_branch_density(self, n, e_z):
+        params = ModelParams(n, 0.1, e_z)
+        block_h = build_block_hamiltonian(params)
+        spectra = solve_blocks(block_h)
+        label, _ = lowest_excited(spectra)
+        rho = branch_density(params, spectra, label)
+        d_list, p_list = sorted({1, n // 2, n - 1}), sorted({1, n // 2 + 1, n})
+        rows = lowest_excited_rows(d_list, p_list, params, block_h, spectra)
+        expected = [pairwise_L_sum(rho, d) for d in d_list] + [one_vs_rest_L(rho, p) for p in p_list]
+        assert [row[1:4] for row in rows] == (
+            [("ld", d, "plus" if label == PLUS else "one") for d in d_list]
+            + [("lprime", p, "plus" if label == PLUS else "one") for p in p_list]
+        )
+        for row, want in zip(rows, expected):
+            assert (row[4] == 0.0) == (want == 0.0), row
+            assert row[4] == pytest.approx(want, abs=1e-12)
+
+    def test_non_normalized_eigenvector_rejected(self):
+        params = ModelParams(5, 0.1, 2.0)
+        block_h = build_block_hamiltonian(params)
+        spectra = solve_blocks(block_h)
+        label, _ = lowest_excited(spectra)
+        bad = dict(spectra)
+        bad[label] = SubspaceSpectrum(label, spectra[label].eigenvalues, spectra[label].eigenvectors * 1.001)
+        with pytest.raises(ValueError, match="not normalized"):
+            lowest_excited_rows([1], [1], params, block_h, bad)
+
+    @pytest.mark.parametrize("ground,weights", [
+        ([0.5], [[0.4]]),            # sums to 0.9
+        ([1.2], [[-0.2]]),           # a negative weight
+        ([np.nan], [[1.0]]),         # not a number
+    ])
+    def test_invalid_weights_rejected(self, ground, weights):
+        with pytest.raises(ValueError, match="weights"):
+            SpectralMixture(ground, {PLUS: (np.eye(3)[:, :1], weights)})
+
+    def test_jz_variance_of_unbalanced_mixture(self):
+        """Half ground, half one "up" level: <m^2> = <m> = 1/2, so the mean term matters."""
+        params = ModelParams(4, 0.1)
+        up = np.full(4, 0.5)
+        rho = ManifoldDensity.mixture([0.5, 0.5], [ManifoldState(params, 1.0, {}), ManifoldState(params, 0.0, {UP: up})])
+        mixture = SpectralMixture([0.5], {UP: (up[:, None], [[0.5]])})
+        assert jz_variance(rho) == pytest.approx(0.25, abs=1e-15)
+        assert mixture.jz_variance() == pytest.approx([0.25], abs=1e-15)
+
+    def test_index_validation(self):
+        level = SpectralMixture([0.0], {PLUS: (np.full((4, 1), 0.5), [[1.0]])})
+        for bad in (0, 5):
+            with pytest.raises(ValueError):
+                level.one_vs_rest_L(bad)
+        for bad in (0, 4):
+            with pytest.raises(ValueError):
+                level.pairwise_L_sum(bad)
 
 
 class TestSplitDensity:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from rotorchain.entanglement import one_vs_rest_L
+from rotorchain.manifold import BLOCKS, SubspaceSpectrum, build_block_hamiltonian, solve_blocks
 from rotorchain.model import ModelParams, dressed_solution
 from rotorchain.oracle import embed_manifold_density, full_hamiltonian, full_one_vs_rest_L, full_pair_L
 from rotorchain.entanglement import log_negativity, pair_reduced
 from rotorchain.thermal import (
     ThermalSpec,
+    _thermal_rows,
     evaluate_observable,
+    observable_name,
     parse_observable,
     thermal_scan,
     thermal_state,
@@ -153,6 +156,48 @@ class TestThermalScan:
         assert a.rows == b.rows
 
 
+class TestSpectralRows:
+    """The scan's rows from the block eigenpairs against `evaluate_observable(thermal_state(...))`."""
+
+    T_GRID = [0.1, 0.15, 0.2, 0.7, 1.2]
+
+    @pytest.mark.parametrize("n", [3, 7, 50])
+    @pytest.mark.parametrize("e_z", [2.0, 12.0])  # both sides of e_z* = 9.14 at N = 50
+    def test_rows_match_thermal_state(self, n, e_z):
+        params = ModelParams(n, 0.1, e_z)
+        block_h = build_block_hamiltonian(params)
+        spectra = solve_blocks(block_h)
+        states = [thermal_state(ThermalSpec(t, params)) for t in self.T_GRID]
+        observables = [("lprime", p) for p in sorted({1, n // 2 + 1, n})]
+        observables += [("ld", d) for d in sorted({1, n // 2, n - 1})] + [("jzvar",)]
+        for observable in observables:
+            rows = _thermal_rows(self.T_GRID, observable, params, block_h, spectra)
+            assert [row[:3] for row in rows] == [(t, e_z, observable_name(observable)) for t in self.T_GRID]
+            for row, rho in zip(rows, states):
+                expected = evaluate_observable(rho, observable)
+                assert (row[3] == 0.0) == (expected == 0.0), (observable, row)
+                assert row[3] == pytest.approx(expected, abs=1e-12)
+
+    def test_below_cutoff_point_stays_zero(self):
+        """L'_26 at N = 50, e_z = 2, T = 0.15 has a negative eigenvalue of ~1.7e-12, under the cutoff."""
+        params = ModelParams(50, 0.1, 2.0)
+        block_h = build_block_hamiltonian(params)
+        rows = _thermal_rows([0.15, 0.2], ("lprime", 26), params, block_h, solve_blocks(block_h))
+        assert rows[0][3] == 0.0
+        assert rows[1][3] > 0.0
+
+    @pytest.mark.parametrize("label", BLOCKS)
+    def test_non_normalized_eigenvector_rejected(self, label):
+        params = ModelParams(4, 0.1, 2.0)
+        block_h = build_block_hamiltonian(params)
+        spectra = solve_blocks(block_h)
+        vectors = spectra[label].eigenvectors.copy()
+        vectors[:, 2] *= 1.0 + 1e-9
+        spectra[label] = SubspaceSpectrum(label, spectra[label].eigenvalues, vectors)
+        with pytest.raises(ValueError, match="not normalized"):
+            _thermal_rows([0.5], ("jzvar",), params, block_h, spectra)
+
+
 class TestMonotoneFlattening:
     def test_relative_field_sensitivity_decreases(self):
         # N = 10 regression grid; the absolute max |dL'/de_z| peaks together
@@ -181,6 +226,8 @@ def test_parse_observable():
         parse_observable("entropy:3")
     with pytest.raises(ValueError, match="jzvar:3"):
         parse_observable("jzvar:3")
+    with pytest.raises(ValueError, match="'lprime:x' needs an integer"):
+        parse_observable("lprime:x")
 
 
 def test_evaluate_observable_dispatch():
