@@ -15,34 +15,27 @@ excitation, so the traced components only feed the all-ground element.  A
 pair (i, j) is the split of i against [j]; one-molecule-vs-rest is the split
 of p against every other site.
 
-Every state the scans build (a block level, the |m| = 1 mixture, a Boltzmann
-mixture) has no coherence between the all-ground slot and an excitation.
-Then, with A the three excitation slots of p and B those of the others, the
-split's partial transpose is the PSD blocks rm[A, A] and rm[B, B]^T plus one
-2 x 2 block [[g, c], [c, 0]]: g is the all-ground element (slot 0 plus every
-traced slot's diagonal) and c^2 = sum |rm[A, B]|^2, the A-B coherences that
-the transpose moves next to it.  Its one negative eigenvalue gives
-N = 2 c^2 / (g + sqrt(g^2 + 4 c^2)), the W-state form; `closed_form_L`
-computes it with no eigensolve.  A state with ground coherence goes through
-the dense `split_density` instead.  A manifold density is validated on
-construction (weights >= 0 summing to 1, normalised states), so its manifold
-matrix is not checked again.
+There are two routes to a split's negativity.  The dense one
+(`split_density` or `pair_reduced`, then `log_negativity`) builds the split
+as a `DensityMatrix` from the manifold matrix and works for any manifold
+state.  The closed form needs every state of the mixture to be the
+all-ground configuration alone or one flavour alone, as every state the CLI
+evaluates is (`ManifoldDensity.spectral`).  Flavours then do not mix, and
+the manifold matrix is the ground weight w_0 plus one N x N correlation
+matrix per flavour, R^f = U_f diag(w_f) U_f^H, with U_f the flavour's
+unit-norm amplitude columns (real or complex, orthogonal or not) and w_f
+their weights.  The split's partial transpose is then positive blocks plus
+one 2 x 2 block [[g, c], [c, 0]]: g is the all-ground weight (w_0 plus every
+traced excitation) and c^2 is the summed |R^f_pq|^2 between the two sides,
+the coherences that the transpose moves next to it.  Its one negative
+eigenvalue gives N = 2 c^2 / (g + sqrt(g^2 + 4 c^2)) (`closed_form_L`):
 
-The scans never form the manifold matrix.  Flavours do not mix, so rm is the
-ground weight w_0 plus one real N x N correlation matrix per flavour,
-R^f = U_f diag(w_f) U_f^T, with U_f the block's eigenvector columns and w_f
-their weights.  `SpectralMixture` reads every split from U_f and w_f, for a
-whole batch of weight vectors (every temperature of a field) at once:
+    L'_p:  g = w_0,  c^2 = sum_f sum_(q != p) |R^f_pq|^2,  R^f[p, :] = (U_f[p] o w_f) U_f^H
+    L_d:   pop_i = sum_f R^f_ii,  g_i = 1 - pop_i - pop_(i+d),  c_i^2 = sum_f |R^f_(i,i+d)|^2
 
-    L'_p:  g = w_0,  c^2 = sum_f [(U_f o U_f)_p . w_f^2 - ((U_f o U_f)_p . w_f)^2]
-    L_d:   pop = sum_f (U_f o U_f) w_f,  g_i = 1 - pop_i - pop_(i+d),
-           c_i^2 = sum_f ((U_f[:-d] o U_f[d:]) w_f)_i^2
-
-with o the elementwise product.  A pure level is the one-column case: its
-branch's lowest eigenvector a with weight s = 1 ("plus") or s = 1/2 on each
-of "up" and "down", which gives g = 1 - a_i^2 - a_(i+d)^2, c = sqrt(s) |a_i a_(i+d)|
-for a pair and g = 0, c^2 = s a_p^2 (1 - a_p^2) against the rest.  The
-`ManifoldDensity` functions stay the reference these rows are tested against.
+`SpectralMixture` evaluates these from U_f and w_f for a whole batch of
+weight vectors (every temperature of a field) at once, and forms no R^f;
+o is the elementwise product.
 """
 
 from dataclasses import dataclass
@@ -51,6 +44,7 @@ from math import log2, prod
 import numpy as np
 
 from .manifold import (
+    BLOCKS,
     DOWN,
     FLAVOR_OF_BLOCK,
     HONE_BLOCKS,
@@ -157,6 +151,24 @@ class ManifoldDensity:
         vectors = np.stack([state.vector() for state in self.states], axis=1)
         return (vectors * self.weights) @ vectors.conj().T
 
+    def spectral(self):
+        """This density as a one-column `SpectralMixture` if every state is the all-ground
+        configuration alone or one flavour alone (a flavour with no states is an (N x 0) block), else None."""
+        ground, columns = 0.0, {label: [] for label in BLOCKS}
+        for weight, state in zip(self.weights, self.states):
+            parts = [(label, amps) for label, amps in state.excitation_amplitudes.items() if np.any(amps)]
+            if not parts:
+                ground += weight * abs(state.ground_amplitude) ** 2
+            elif len(parts) == 1 and state.ground_amplitude == 0:
+                columns[parts[0][0]].append((parts[0][1], weight))
+            else:
+                return None
+        n = self.params.n_molecules
+        return SpectralMixture([ground], {
+            label: (np.reshape([a for a, _ in cols], (-1, n)).T, np.reshape([w for _, w in cols], (-1, 1)))
+            for label, cols in columns.items()
+        })
+
 
 def _site_slot(site: int, flavor: int) -> int:
     """Manifold basis index of an excitation (0-based site, flavor 0..2)."""
@@ -211,24 +223,13 @@ def closed_form_L(g, c) -> np.ndarray:
     return np.where(neg > NEGATIVE_EIGENVALUE_CUTOFF, np.log2(2.0 * neg + 1.0), 0.0)
 
 
-def _split_L(rm: np.ndarray, p: int, others) -> float:
-    """Log-negativity of molecule p against the 1-based `others`, for `rm` with rm[0, 1:] = 0."""
-    a = np.arange(_site_slot(p - 1, 0), _site_slot(p - 1, 3))
-    b = np.array([_site_slot(q - 1, f) for q in others for f in range(3)])
-    g = np.delete(rm.diagonal(), np.r_[a, b]).real.sum()  # slot 0 plus every traced slot
-    return float(closed_form_L(g, np.linalg.norm(rm[np.ix_(a, b)])))
-
-
 def one_vs_rest_L(rho: ManifoldDensity, p: int) -> float:
     """Log-negativity of molecule p against the rest of the chain."""
-    n = rho.params.n_molecules
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= {n}, got {p}")
-    others = [q for q in range(1, n + 1) if q != p]
-    rm = rho.manifold_matrix()
-    if rm[0, 1:].any():
-        return log_negativity(split_density(rho, p, others), ((0,), (1,)))
-    return _split_L(rm, p, others)
+    mixture = rho.spectral()
+    if mixture is not None:
+        return float(mixture.one_vs_rest_L(p)[0])
+    others = [q for q in range(1, rho.params.n_molecules + 1) if q != p]
+    return log_negativity(split_density(rho, p, others), ((0,), (1,)))
 
 
 def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
@@ -236,10 +237,10 @@ def pairwise_L_sum(rho: ManifoldDensity, d: int) -> float:
     n = rho.params.n_molecules
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= {n - 1}, got {d}")
-    rm = rho.manifold_matrix()
-    if rm[0, 1:].any():
-        return sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, n - d + 1))
-    return sum(_split_L(rm, i, [i + d]) for i in range(1, n - d + 1))
+    mixture = rho.spectral()
+    if mixture is not None:
+        return float(mixture.pairwise_L_sum(d)[0])
+    return sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, n - d + 1))
 
 
 def jz_variance(rho: ManifoldDensity) -> float:
@@ -248,15 +249,10 @@ def jz_variance(rho: ManifoldDensity) -> float:
     Manifold basis states are Jz eigenstates: the ground and "plus"
     excitations carry m = 0, the "up"/"down" excitations carry m = +-1.
     """
-    n = rho.params.n_molecules
-    m_values = np.zeros(3 * n + 1)
-    for q in range(n):
-        m_values[_site_slot(q, FLAVOR_OF_BLOCK[UP])] = 1.0
-        m_values[_site_slot(q, FLAVOR_OF_BLOCK[DOWN])] = -1.0
-    populations = np.real(np.diag(rho.manifold_matrix()))
-    mean = float(m_values @ populations)
-    mean_sq = float((m_values**2) @ populations)
-    return mean_sq - mean**2
+    populations = rho.manifold_matrix().diagonal().real
+    up = populations[1 + FLAVOR_OF_BLOCK[UP]::3].sum()
+    down = populations[1 + FLAVOR_OF_BLOCK[DOWN]::3].sum()
+    return float(up + down - (up - down) ** 2)
 
 
 def branch_density(params: ModelParams, spectra: dict, label: str) -> ManifoldDensity:
@@ -278,27 +274,32 @@ def lowest_excited_density(params: ModelParams) -> ManifoldDensity:
 
 
 class SpectralMixture:
-    """A batch of excitation-diagonal manifold densities, held as block eigenpairs.
+    """A batch of flavour-diagonal manifold densities, held as amplitude columns and weights.
 
-    `flavours` maps a block label to (U, W): U (N x K) holds eigenvector
-    columns of that block and W (K x M) their weights, one column per density.
-    Density m is ground[m] on the all-ground slot plus R^f = U diag(W[:, m]) U^T
-    per flavour (see the module docstring); no R^f is formed.  Every method
-    returns one value per density.  Validated on construction: weights >= 0,
-    each density's weights sum to 1, and every eigenvector column has unit norm.
+    `flavours` maps a block label to (U, W): U (N x K) holds unit-norm
+    amplitude columns of that flavour, real or complex and not necessarily
+    orthogonal, and W (K x M) their weights, one column per density.  Density
+    m is ground[m] on the all-ground slot plus R^f = U diag(W[:, m]) U^H per
+    flavour.  Each method evaluates the module docstring's closed form in R^f,
+    forming no R^f, and returns one value per density.  Validated on
+    construction: at least one flavour, weights >= 0 summing to 1 per density,
+    and unit-norm columns.
     """
 
     def __init__(self, ground, flavours: dict):
+        if not flavours:
+            raise ValueError("no flavour block (U, W) given; an empty flavour is an (N x 0) U")
         self.ground = np.asarray(ground, dtype=float)
-        self.flavours = {}  # label -> (U, U o U, W)
+        self.flavours = {}  # label -> (U, |U|^2, W)
         total = self.ground
         for label, (u, w) in flavours.items():
-            u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+            u, w = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float), np.asarray(w, dtype=float)
+            sq = np.abs(u) ** 2
             if not np.all(w >= 0):
                 raise ValueError("weights must be non-negative")
-            if not np.all(np.abs((u * u).sum(axis=0) - 1.0) <= NORM_TOL):
+            if not np.all(np.abs(sq.sum(axis=0) - 1.0) <= NORM_TOL):
                 raise ValueError(f"block {label!r} eigenvectors are not normalized")
-            self.flavours[label] = (u, u * u, w)
+            self.flavours[label] = (u, sq, w)
             total = total + w.sum(axis=0)
         if not (np.all(self.ground >= 0) and np.all(np.abs(total - 1.0) <= TRACE_TOL)):
             raise ValueError(f"weights must be non-negative and sum to 1, got sums {total!r}")
@@ -308,15 +309,16 @@ class SpectralMixture:
         """L'_p: log-negativity of molecule p against the rest of the chain."""
         if not 1 <= p <= self.n_molecules:
             raise ValueError(f"need 1 <= p <= {self.n_molecules}, got {p}")
-        c2 = sum(sq[p - 1] @ (w * w) - (sq[p - 1] @ w) ** 2 for _, sq, w in self.flavours.values())
-        return closed_form_L(self.ground, np.sqrt(np.maximum(c2, 0.0)))
+        rows = [(u[p - 1] * w.T) @ u.conj().T for u, _, w in self.flavours.values()]  # R^f[p, :] per density
+        c2 = sum((np.abs(np.delete(row, p - 1, axis=1)) ** 2).sum(axis=1) for row in rows)
+        return closed_form_L(self.ground, np.sqrt(c2))
 
     def pairwise_L_sum(self, d: int) -> np.ndarray:
         """L_d: pair log-negativity summed over all pairs at chain distance d."""
         if not 1 <= d <= self.n_molecules - 1:
             raise ValueError(f"need 1 <= d <= {self.n_molecules - 1}, got {d}")
         pop = sum(sq @ w for _, sq, w in self.flavours.values())
-        c2 = sum(((u[:-d] * u[d:]) @ w) ** 2 for u, _, w in self.flavours.values())
+        c2 = sum(np.abs((u[:-d] * u[d:].conj()) @ w) ** 2 for u, _, w in self.flavours.values())
         return closed_form_L(1.0 - pop[:-d] - pop[d:], np.sqrt(c2)).sum(axis=0)
 
     def jz_variance(self) -> np.ndarray:

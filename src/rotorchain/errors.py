@@ -6,4 +6,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class NoCrossingError(RuntimeError):
-    """Raised when a crossing search bracket contains no sign change."""
+    """Raised when a crossing search finds no sign change, or stops before its tolerance."""

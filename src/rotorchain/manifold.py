@@ -231,8 +231,9 @@ def _lowest_gap(params: ModelParams, e_z: float) -> float:
 def find_crossing(params: ModelParams, e_z_lo: float, e_z_hi: float, tol: float = 1e-10) -> float:
     """Bisect for the field where the lowest "plus" and |m|=1 levels cross.
 
-    Stops once the energy difference magnitude drops below `tol`; raises
-    NoCrossingError when the bracket shows no sign change.
+    Returns once the energy difference magnitude drops to `tol`; raises
+    NoCrossingError when the bracket shows no sign change, or when bisection
+    stops first (the bracket reaches float resolution, or 200 halvings pass).
     """
     f_lo = _lowest_gap(params, e_z_lo)
     f_hi = _lowest_gap(params, e_z_hi)
@@ -245,9 +246,11 @@ def find_crossing(params: ModelParams, e_z_lo: float, e_z_hi: float, tol: float 
             f"no crossing in range [{e_z_lo}, {e_z_hi}]: "
             f"gap {f_lo:.3e} -> {f_hi:.3e} does not change sign"
         )
-    lo, hi = float(e_z_lo), float(e_z_hi)
+    lo, hi, f_mid = float(e_z_lo), float(e_z_hi), f_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         f_mid = _lowest_gap(params, mid)
         if abs(f_mid) <= tol:
             return mid
@@ -255,4 +258,4 @@ def find_crossing(params: ModelParams, e_z_lo: float, e_z_hi: float, tol: float 
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise NoCrossingError(f"crossing search stopped at bracket [{lo!r}, {hi!r}] with last |gap| = {abs(f_mid):.3e}")

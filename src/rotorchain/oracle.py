@@ -139,7 +139,7 @@ class ValidationReport:
     max_eigenvalue_dev: float        # manifold levels vs lowest full levels
     eigenvalue_dev_over_v2: float    # same, divided by v^2
     ground_lprime_max: float         # entanglement of the full ground state
-    same_state_negativity_dev: float  # identical state, two representations
+    same_state_negativity_dev: float  # lowest level: shipped closed form vs full-space split
     matched_lprime_dev: float        # manifold level vs matching full eigenstate
 
     def to_dict(self) -> dict:

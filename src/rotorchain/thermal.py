@@ -14,8 +14,9 @@ at once from the block eigenpairs.  The weights of the 3N+1 levels form one
 R^f = U_f diag(w_f) U_f^T, with U_f the block's eigenvectors and w_f its rows
 of W, and every row is a closed form in U_f and W that forms no R^f
 (`entanglement.SpectralMixture`).  The scan builds no manifold state, no
-density and no manifold matrix; `thermal_state` builds the `ManifoldDensity`
-that the tests compare those rows against.
+density and no manifold matrix.  `thermal_state` builds one temperature's
+ensemble as a `ManifoldDensity` for library use; its negativities go through
+the same closed form.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .entanglement import ManifoldDensity, SpectralMixture, jz_variance, one_vs_rest_L, pairwise_L_sum
+from .entanglement import ManifoldDensity, SpectralMixture
 from .manifold import BLOCKS, block_eigenstate, build_block_hamiltonian, ground_manifold_state, scan_fields, solve_blocks
 from .model import ModelParams
 from .results import ScanResult
@@ -81,17 +82,6 @@ def parse_observable(spec_string: str):
         except ValueError:
             raise ValueError(f"observable {spec_string!r} needs an integer site/distance, e.g. '{name}:1'") from None
     raise ValueError(f"unknown observable {spec_string!r}; expected lprime:P, ld:D or jzvar")
-
-
-def evaluate_observable(rho: ManifoldDensity, observable) -> float:
-    name = observable[0]
-    if name == "lprime":
-        return one_vs_rest_L(rho, observable[1])
-    if name == "ld":
-        return pairwise_L_sum(rho, observable[1])
-    if name == "jzvar":
-        return jz_variance(rho)
-    raise ValueError(f"unknown observable {observable!r}")
 
 
 def observable_name(observable) -> str:

@@ -1,5 +1,7 @@
 """Tests for reduced densities, negativity and the Jz variance."""
 
+from math import log2, prod
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -61,6 +63,36 @@ def random_separable_density(rng, dims, terms=3):
     for w in weights:
         total += w * random_product_density(rng, dims).matrix
     return DensityMatrix(dims, total)
+
+
+def dense_one_vs_rest_L(rho, p):
+    """L'_p from the dense split density, which shares no code with the closed form."""
+    rest = [q for q in range(1, rho.params.n_molecules + 1) if q != p]
+    return log_negativity(split_density(rho, p, rest), ((0,), (1,)))
+
+
+def dense_pairwise_L_sum(rho, d):
+    """L_d from dense pair densities."""
+    n = rho.params.n_molecules
+    return sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, n - d + 1))
+
+
+def random_density(rng, dims, rank):
+    """A random rank-`rank` density on `dims`, generically entangled."""
+    a = rng.normal(size=(prod(dims), rank)) + 1j * rng.normal(size=(prod(dims), rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(dims, rho / np.trace(rho).real)
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+def unit_columns(rng, n, k, complex_=True):
+    """k random unit-norm columns on n sites, not orthogonal to one another."""
+    u = rng.normal(size=(n, k)) + (1j * rng.normal(size=(n, k)) if complex_ else 0.0)
+    return u / np.linalg.norm(u, axis=0)
 
 
 @st.composite
@@ -172,6 +204,36 @@ class TestLogNegativity:
     def test_bipartition_must_cover(self):
         with pytest.raises(ValueError):
             log_negativity(bell_density(), ((0,), ()))
+
+
+class TestLogNegativityProperties:
+    DIMS = [(2, 2), (4, 4), (2, 4), (4, 10)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_bounds(self, dims, rank):
+        rng = np.random.default_rng(rank)
+        for _ in range(5):
+            value = log_negativity(random_density(rng, dims, rank), ((0,), (1,)))
+            assert 0.0 <= value <= log2(min(dims)) + 1e-12
+
+    def test_maximally_entangled_state_reaches_the_bound(self):
+        for d_a, d_b in self.DIMS:
+            psi = np.zeros(d_a * d_b)
+            psi[[k * d_b + k for k in range(min(d_a, d_b))]] = 1.0 / np.sqrt(min(d_a, d_b))
+            rho = DensityMatrix((d_a, d_b), np.outer(psi, psi))
+            assert log_negativity(rho, ((0,), (1,))) == pytest.approx(log2(min(d_a, d_b)), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_local_unitary_invariance(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for rank in (1, 3):
+            rho = random_density(rng, dims, rank)
+            local = np.kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
+            rotated = DensityMatrix(dims, local @ rho.matrix @ local.conj().T)
+            before = log_negativity(rho, ((0,), (1,)))
+            assert before > 0.0
+            assert log_negativity(rotated, ((0,), (1,))) == pytest.approx(before, abs=1e-10)
 
 
 class TestPairReduced:
@@ -364,15 +426,12 @@ class TestStructuredOneVsRest:
             thermal_state(ThermalSpec(0.7, params)),
         ]
         for p in (1, 26, 50):
-            rest = [q for q in range(1, 51) if q != p]
             assert one_vs_rest_L(ground, p) == 0.0
             for rho in densities:
-                dense = log_negativity(split_density(rho, p, rest), ((0,), (1,)))
-                assert one_vs_rest_L(rho, p) == pytest.approx(dense, abs=1e-12)
+                assert one_vs_rest_L(rho, p) == pytest.approx(dense_one_vs_rest_L(rho, p), abs=1e-12)
         for d in (1, 10, 25):
             for rho in densities:
-                dense = sum(log_negativity(pair_reduced(rho, i, i + d), ((0,), (1,))) for i in range(1, 51 - d))
-                assert pairwise_L_sum(rho, d) == pytest.approx(dense, abs=1e-12)
+                assert pairwise_L_sum(rho, d) == pytest.approx(dense_pairwise_L_sum(rho, d), abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 7, 20])
     @pytest.mark.parametrize("flavors", [(UP,), BLOCKS])
@@ -406,7 +465,7 @@ class TestStructuredOneVsRest:
 
 
 class TestSpectralMixture:
-    """Rows from block eigenpairs against the `ManifoldDensity` route."""
+    """The closed form from amplitude columns against the dense split densities."""
 
     @pytest.mark.parametrize("n", [3, 7, 50])
     @pytest.mark.parametrize("e_z", [2.0, 12.0])  # both branches at N = 50, e_z* = 9.14
@@ -418,7 +477,7 @@ class TestSpectralMixture:
         rho = branch_density(params, spectra, label)
         d_list, p_list = sorted({1, n // 2, n - 1}), sorted({1, n // 2 + 1, n})
         rows = lowest_excited_rows(d_list, p_list, params, block_h, spectra)
-        expected = [pairwise_L_sum(rho, d) for d in d_list] + [one_vs_rest_L(rho, p) for p in p_list]
+        expected = [dense_pairwise_L_sum(rho, d) for d in d_list] + [dense_one_vs_rest_L(rho, p) for p in p_list]
         assert [row[1:4] for row in rows] == (
             [("ld", d, "plus" if label == PLUS else "one") for d in d_list]
             + [("lprime", p, "plus" if label == PLUS else "one") for p in p_list]
@@ -454,6 +513,65 @@ class TestSpectralMixture:
         mixture = SpectralMixture([0.5], {UP: (up[:, None], [[0.5]])})
         assert jz_variance(rho) == pytest.approx(0.25, abs=1e-15)
         assert mixture.jz_variance() == pytest.approx([0.25], abs=1e-15)
+
+    def test_no_flavour_rejected(self):
+        with pytest.raises(ValueError, match="no flavour block"):
+            SpectralMixture([1.0], {})
+
+    def test_non_orthogonal_columns(self):
+        """Two "plus" columns with overlap 0.6, weight 1/2 each: an orthonormal-only formula gives L'_1 = 0."""
+        params = ModelParams(3, 0.1)
+        u = np.array([[1.0, 0.6], [0.0, 0.8], [0.0, 0.0]])
+        rho = ManifoldDensity.mixture([0.5, 0.5], [ManifoldState(params, 0.0, {PLUS: col}) for col in u.T])
+        mixture = SpectralMixture([0.0], {PLUS: (u, [[0.5], [0.5]])})
+        assert dense_one_vs_rest_L(rho, 1) == pytest.approx(0.5656, abs=1e-4)
+        for p in (1, 2, 3):
+            assert mixture.one_vs_rest_L(p)[0] == pytest.approx(dense_one_vs_rest_L(rho, p), abs=1e-12)
+            assert one_vs_rest_L(rho, p) == pytest.approx(dense_one_vs_rest_L(rho, p), abs=1e-12)
+        for d in (1, 2):
+            assert mixture.pairwise_L_sum(d)[0] == pytest.approx(dense_pairwise_L_sum(rho, d), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("flavours", [(UP,), BLOCKS])
+    def test_complex_columns_match_dense(self, seed, flavours):
+        """Complex, non-orthogonal single-flavour columns plus a ground weight, on every split."""
+        rng = np.random.default_rng(seed)
+        n, k = 5, 3
+        params = ModelParams(n, 0.1)
+        weights = rng.dirichlet(np.ones(1 + k * len(flavours)))
+        columns = {f: unit_columns(rng, n, k) for f in flavours}
+        states = [ManifoldState(params, 1.0, {})]
+        states += [ManifoldState(params, 0.0, {f: col}) for f in flavours for col in columns[f].T]
+        rho = ManifoldDensity.mixture(weights, states)
+        mixture = rho.spectral()
+        assert mixture is not None
+        for p in range(1, n + 1):
+            dense = dense_one_vs_rest_L(rho, p)
+            assert dense > 0.0
+            assert mixture.one_vs_rest_L(p)[0] == pytest.approx(dense, abs=1e-12)
+        for d in range(1, n):
+            assert mixture.pairwise_L_sum(d)[0] == pytest.approx(dense_pairwise_L_sum(rho, d), abs=1e-12)
+
+    def test_real_and_complex_columns_agree_bitwise(self):
+        rng = np.random.default_rng(5)
+        u, w = unit_columns(rng, 6, 4, complex_=False), rng.dirichlet(np.ones(4))[:, None] * 0.9
+        real = SpectralMixture([0.1], {PLUS: (u, w)})
+        cplx = SpectralMixture([0.1], {PLUS: (u.astype(complex), w)})
+        for p in range(1, 7):
+            assert np.array_equal(real.one_vs_rest_L(p), cplx.one_vs_rest_L(p))
+        for d in range(1, 6):
+            assert np.array_equal(real.pairwise_L_sum(d), cplx.pairwise_L_sum(d))
+
+    def test_spectral_needs_one_part_per_state(self):
+        params = ModelParams(3, 0.1)
+        amps = np.full(3, 0.5, dtype=complex)
+        coherent = ManifoldState(params, 0.5, {PLUS: amps})               # ground coherence
+        two_flavours = ManifoldState(params, 0.0, {PLUS: amps, UP: np.array([0.5, 0.0, 0.0])})
+        assert ManifoldDensity.pure(coherent).spectral() is None
+        assert ManifoldDensity.pure(two_flavours).spectral() is None
+        ground = ManifoldDensity.pure(ManifoldState(params, 1.0, {})).spectral()
+        assert ground.ground.tolist() == [1.0]
+        assert all(u.shape == (3, 0) for u, _, _ in ground.flavours.values())
 
     def test_index_validation(self):
         level = SpectralMixture([0.0], {PLUS: (np.full((4, 1), 0.5), [[1.0]])})

@@ -267,6 +267,12 @@ class TestFindCrossing:
         with pytest.raises(NoCrossingError):
             find_crossing(ModelParams(50, 0.1), 20.0, 30.0)
 
+    def test_unreachable_tolerance_raises(self):
+        """tol = 0: the bracket shrinks to adjacent floats with |gap| ~ 1e-16 left, which is not a crossing."""
+        bracket = r"stopped at bracket \[9\.13833964\d*, 9\.13833964\d*\] with last \|gap\| = "
+        with pytest.raises(NoCrossingError, match=bracket):
+            find_crossing(ModelParams(50, 0.1), 1e-3, 30.0, tol=0.0)
+
     def test_crossing_map_contains_lowest_pair(self):
         params = ModelParams(4, 0.1)
         star = find_crossing(params, 1e-3, 30.0)
